@@ -30,6 +30,13 @@
      them, fails above --monitor-overhead-max (default 0: disabled; CI
      passes 3 — monitoring a two-axiom theory must stay within 3x the
      bare commit). Machine-free, gated whenever the maximum is > 0.
+   - [commit_alloc_ratio], the minor-heap words one differential
+     commit allocates at n = 8k over the same at n = 2k, fails above
+     --commit-alloc-ratio-max, and [active_domain_alloc_ratio], the
+     same ratio for [Db.active_domain] over the store, fails above
+     --active-domain-alloc-ratio-max (both default 0: disabled; CI
+     passes 1.5 and 6). Word counts are exact, so these size-sweep
+     gates are machine-free and noise-free.
    - [gateway_rps], aggregate pipelined requests/second through the
      socket gateway, fails below --rps-min (default 0: disabled; CI
      passes 200). The floor is absolute, not machine-relative — it is
@@ -71,10 +78,13 @@ let () =
   let delta_min = ref 0.0 in
   let rps_min = ref 0.0 in
   let monitor_max = ref 0.0 in
+  let commit_alloc_max = ref 0.0 in
+  let domain_alloc_max = ref 0.0 in
   let usage =
     "gate --baseline FILE --current FILE [--threshold F] [--trace-overhead-max F] \
      [--session-speedup-min F] [--check23-speedup-min F] [--delta-speedup-min F] \
-     [--rps-min F] [--monitor-overhead-max F]"
+     [--rps-min F] [--monitor-overhead-max F] [--commit-alloc-ratio-max F] \
+     [--active-domain-alloc-ratio-max F]"
   in
   Arg.parse
     [
@@ -105,6 +115,14 @@ let () =
         Arg.Set_float monitor_max,
         "F allowed monitored-commit cost relative to a bare commit \
          (default 0: disabled; CI passes 3)" );
+      ( "--commit-alloc-ratio-max",
+        Arg.Set_float commit_alloc_max,
+        "F allowed growth of one commit's allocation from n = 2k to 8k \
+         (default 0: disabled; CI passes 1.5)" );
+      ( "--active-domain-alloc-ratio-max",
+        Arg.Set_float domain_alloc_max,
+        "F allowed growth of the active domain's allocation from n = 2k to \
+         8k (default 0: disabled; CI passes 6)" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
     usage;
@@ -156,6 +174,17 @@ let () =
         Printf.printf
           "  skip %-24s %.2fx (gate skipped: runner has %d core(s), needs >= 4)\n"
           name f cores
+    in
+    (* a ratio gated from above when its maximum is > 0 *)
+    let gate_max name f max flag what =
+      if max > 0. then begin
+        let ok = f <= max in
+        if not ok then incr failures;
+        Printf.printf "  %s %-24s %.2fx (max %.2fx: %s)\n"
+          (if ok then "ok  " else "FAIL")
+          name f max what
+      end
+      else Printf.printf "  skip %-24s %.2fx (gate disabled: %s 0)\n" name f flag
     in
     (match field "derived" cur with
      | Some (Json.Obj kvs) ->
@@ -237,10 +266,28 @@ let () =
                Printf.printf
                  "  skip %-24s %.0f req/s (gate disabled: --rps-min 0)\n"
                  "gateway_rps" f
+           | ("commit_alloc_ratio" as k), Json.Num f ->
+             gate_max k f !commit_alloc_max "--commit-alloc-ratio-max"
+               "commit allocation, n = 8k over 2k"
+           | ("active_domain_alloc_ratio" as k), Json.Num f ->
+             gate_max k f !domain_alloc_max "--active-domain-alloc-ratio-max"
+               "active-domain allocation, n = 8k over 2k"
            | k, Json.Num f -> Printf.printf "  info %-24s %.2fx (not gated)\n" k f
            | _ -> ())
          kvs
      | _ -> ());
+    (* an enabled size-sweep gate needs its figure in the report *)
+    List.iter
+      (fun (name, max) ->
+        let derived = Option.value ~default:Json.Null (field "derived" cur) in
+        if max > 0. && Option.is_none (field name derived) then begin
+          incr failures;
+          Printf.printf "  FAIL %-24s missing from the current report\n" name
+        end)
+      [
+        ("commit_alloc_ratio", !commit_alloc_max);
+        ("active_domain_alloc_ratio", !domain_alloc_max);
+      ];
     if !failures > 0 then begin
       Printf.printf
         "perf gate FAILED: %d metric(s) regressed more than %.0f%%\n\

@@ -38,7 +38,7 @@ let default_fuel = 100_000
 (* Collect the values occurring in a ground term, sort-wise. *)
 let rec term_active_domain (acc : Domain.t) : Aterm.t -> Domain.t = function
   | Aterm.Val (v, s) ->
-    if Sort.is_bool s then acc else Domain.add s (v :: Domain.carrier acc s) acc
+    if Sort.is_bool s then acc else Domain.extend s v acc
   | Aterm.App (_, args) -> List.fold_left term_active_domain acc args
   | Aterm.Exists (_, b) | Aterm.Forall (_, b) -> term_active_domain acc b
   | Aterm.Var _ -> acc

@@ -32,7 +32,7 @@ let make ?(param_interp = []) ?(base_domain = Domain.empty) ~name ~signature ~eq
           | Some f -> f []
           | None -> Value.Sym o.Asig.oname
         in
-        Domain.add o.Asig.ores (value :: Domain.carrier d o.Asig.ores) d)
+        Domain.extend o.Asig.ores value d)
       base_domain constants
   in
   let missing =

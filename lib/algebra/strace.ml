@@ -78,7 +78,7 @@ let active_domain (sg : Asig.t) (trace : t) : Domain.t =
         | None -> acc
         | Some o ->
           List.fold_left2
-            (fun acc v srt -> Domain.add srt (v :: Domain.carrier acc srt) acc)
+            (fun acc v srt -> Domain.extend srt v acc)
             acc params (Asig.param_args o)
       in
       go acc s

@@ -14,12 +14,18 @@ val empty : t
     [values]. *)
 val add : Sort.t -> Value.t list -> t -> t
 
+(** [extend sort v d] is [add sort (v :: carrier d sort) d], in
+    O(log k) for a carrier of k values: [d] itself when [v] is already
+    present, otherwise one set insertion and one list rebuild. *)
+val extend : Sort.t -> Value.t -> t -> t
+
 val of_list : (Sort.t * Value.t list) list -> t
 
 (** [carrier d sort] is the carrier of [sort] — [{false, true}] for
     [bool], [[]] for unknown sorts. *)
 val carrier : t -> Sort.t -> Value.t list
 
+(** O(log k): a set lookup. *)
 val mem : t -> Sort.t -> Value.t -> bool
 
 (** Sorts with explicitly assigned carriers. *)

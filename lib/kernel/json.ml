@@ -11,6 +11,8 @@ type t =
   | Null
   | Arr of t list
   | Obj of (string * t) list
+  | Deferred of (Buffer.t -> unit)
+      (* rendered on demand into the writer's buffer: one JSON value *)
 
 exception Parse_error of string
 
@@ -40,6 +42,23 @@ let parse (src : string) : t =
     end
     else fail ("expected " ^ word)
   in
+  (* the four hex digits of a \u escape *)
+  let hex4 () =
+    if !pos + 4 > len then fail "truncated \\u escape";
+    let digit c =
+      match c with
+      | '0' .. '9' -> Char.code c - Char.code '0'
+      | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+      | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+      | _ -> fail "bad \\u escape"
+    in
+    let v = ref 0 in
+    for i = 0 to 3 do
+      v := (!v lsl 4) lor digit src.[!pos + i]
+    done;
+    pos := !pos + 4;
+    !v
+  in
   let string_lit () =
     expect '"';
     let buf = Buffer.create 16 in
@@ -56,11 +75,28 @@ let parse (src : string) : t =
            go ()
          | Some 'n' -> Buffer.add_char buf '\n'; advance (); go ()
          | Some 't' -> Buffer.add_char buf '\t'; advance (); go ()
+         | Some 'r' -> Buffer.add_char buf '\r'; advance (); go ()
+         | Some 'b' -> Buffer.add_char buf '\b'; advance (); go ()
+         | Some 'f' -> Buffer.add_char buf '\012'; advance (); go ()
          | Some 'u' ->
-           (* pass the escape through undecoded; the validator only
-              checks structure *)
-           Buffer.add_string buf "\\u";
            advance ();
+           let cp = hex4 () in
+           let cp =
+             if cp >= 0xD800 && cp <= 0xDBFF then begin
+               (* a high surrogate must be followed by its low half *)
+               if !pos + 1 < len && src.[!pos] = '\\' && src.[!pos + 1] = 'u'
+               then begin
+                 pos := !pos + 2;
+                 let lo = hex4 () in
+                 if lo < 0xDC00 || lo > 0xDFFF then fail "unpaired surrogate";
+                 0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+               end
+               else fail "unpaired surrogate"
+             end
+             else if cp >= 0xDC00 && cp <= 0xDFFF then fail "unpaired surrogate"
+             else cp
+           in
+           Buffer.add_utf_8_uchar buf (Uchar.of_int cp);
            go ()
          | _ -> fail "unsupported escape")
       | Some c ->
@@ -157,7 +193,7 @@ let parse_file path =
 
 let field name = function
   | Obj kvs -> List.assoc_opt name kvs
-  | Num _ | Str _ | Bool _ | Null | Arr _ -> None
+  | Num _ | Str _ | Bool _ | Null | Arr _ | Deferred _ -> None
 
 let to_string_opt = function Str s -> Some s | _ -> None
 let to_bool_opt = function Bool b -> Some b | _ -> None
@@ -172,20 +208,31 @@ let to_list_opt = function Arr xs -> Some xs | _ -> None
 (* Writer                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let escape_string buf s =
+let needs_escape c = c = '"' || c = '\\' || Char.code c < 0x20
+
+let add_escape buf = function
+  | '"' -> Buffer.add_string buf "\\\""
+  | '\\' -> Buffer.add_string buf "\\\\"
+  | '\n' -> Buffer.add_string buf "\\n"
+  | '\t' -> Buffer.add_string buf "\\t"
+  | '\r' -> Buffer.add_string buf "\\r"
+  | c -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+
+(* Runs of plain bytes are copied whole; only escapes go byte by
+   byte. *)
+let add_string buf s =
+  let len = String.length s in
+  let start = ref 0 in
   Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
+  for i = 0 to len - 1 do
+    let c = String.unsafe_get s i in
+    if needs_escape c then begin
+      Buffer.add_substring buf s !start (i - !start);
+      add_escape buf c;
+      start := i + 1
+    end
+  done;
+  Buffer.add_substring buf s !start (len - !start);
   Buffer.add_char buf '"'
 
 (* Integral floats print without a fractional part so protocol ids and
@@ -196,31 +243,66 @@ let add_num buf f =
     Buffer.add_string buf (Printf.sprintf "%.0f" f)
   else Buffer.add_string buf (Printf.sprintf "%.17g" f)
 
+(* Every int below 1e15 in magnitude is an exact double whose %.0f
+   rendering is its decimal form. *)
+let add_int buf n =
+  if Int.abs n < 1_000_000_000_000_000 && n <> min_int then
+    Buffer.add_string buf (string_of_int n)
+  else add_num buf (float_of_int n)
+
+let rec write buf = function
+  | Null -> Buffer.add_string buf "null"
+  | Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Num f -> add_num buf f
+  | Str s -> add_string buf s
+  | Deferred render -> render buf
+  | Arr xs ->
+    Buffer.add_char buf '[';
+    List.iteri
+      (fun i x ->
+        if i > 0 then Buffer.add_string buf ", ";
+        write buf x)
+      xs;
+    Buffer.add_char buf ']'
+  | Obj kvs ->
+    Buffer.add_char buf '{';
+    List.iteri
+      (fun i (k, x) ->
+        if i > 0 then Buffer.add_string buf ", ";
+        add_string buf k;
+        Buffer.add_string buf ": ";
+        write buf x)
+      kvs;
+    Buffer.add_char buf '}'
+
+(* One render buffer per domain, reused by every [to_string] on it, so
+   a whole-state reply is written without regrowing a fresh buffer. The
+   slot is empty while a rendering holds the buffer: a nested
+   [to_string] (from inside a deferred writer) gets a fresh one. A
+   buffer grown past [keep_max] bytes is dropped after use, so one huge
+   document does not pin its memory. *)
+let keep_max = 4 * 1024 * 1024
+let fresh_buffer () = Buffer.create 4096
+let render_slot = Stdlib.Domain.DLS.new_key (fun () -> ref (Some (fresh_buffer ())))
+
 let to_string (v : t) : string =
-  let buf = Buffer.create 256 in
-  let rec go = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Num f -> add_num buf f
-    | Str s -> escape_string buf s
-    | Arr xs ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_string buf ", ";
-          go x)
-        xs;
-      Buffer.add_char buf ']'
-    | Obj kvs ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, x) ->
-          if i > 0 then Buffer.add_string buf ", ";
-          escape_string buf k;
-          Buffer.add_string buf ": ";
-          go x)
-        kvs;
-      Buffer.add_char buf '}'
-  in
-  go v;
-  Buffer.contents buf
+  let slot = Stdlib.Domain.DLS.get render_slot in
+  match !slot with
+  | None ->
+    let buf = Buffer.create 256 in
+    write buf v;
+    Buffer.contents buf
+  | Some buf -> (
+    slot := None;
+    Buffer.clear buf;
+    let release () =
+      slot := Some (if Buffer.length buf > keep_max then fresh_buffer () else buf)
+    in
+    match write buf v with
+    | () ->
+      let s = Buffer.contents buf in
+      release ();
+      s
+    | exception e ->
+      release ();
+      raise e)

@@ -11,10 +11,21 @@ type t =
   | Null
   | Arr of t list
   | Obj of (string * t) list
+  | Deferred of (Buffer.t -> unit)
+      (** A value rendered on demand: the writer calls the function
+          with its output buffer, and the function must append exactly
+          one JSON value ({!add_string} and {!add_int} render scalars
+          byte-identically to the equivalent tree). Large documents
+          stream this way instead of building a tree. It holds a
+          closure, so polymorphic equality raises on it: compare
+          renderings instead. The accessors below treat it as
+          opaque. *)
 
 exception Parse_error of string
 
-(** Parse a complete JSON document; trailing input is an error. *)
+(** Parse a complete JSON document; trailing input is an error. String
+    escapes are decoded, [\uXXXX] (and surrogate pairs) to UTF-8, so
+    every string {!to_string} writes parses back to itself. *)
 val parse : string -> t
 
 val parse_file : string -> t
@@ -33,5 +44,14 @@ val to_list_opt : t -> t list option
 (** Serialize deterministically: object members in the given order,
     integral floats without a fractional part, strings escaped per RFC
     8259 (control characters as [\uXXXX]). One line, no trailing
-    newline. *)
+    newline. Renders into a buffer reused per domain, so the only
+    allocation proportional to the document is the returned string. *)
 val to_string : t -> string
+
+(** [add_string buf s] appends [Str s] as {!to_string} renders it:
+    quoted and escaped. *)
+val add_string : Buffer.t -> string -> unit
+
+(** [add_int buf n] appends [Num (float_of_int n)] as {!to_string}
+    renders it, without allocating the float. *)
+val add_int : Buffer.t -> int -> unit

@@ -58,6 +58,32 @@ let cardinal (d : t) : int =
   let sum m = SMap.fold (fun _ r acc -> acc + Relation.cardinal r) m 0 in
   sum d.inserts + sum d.deletes
 
+(** Tuples [r] inserted into (deleted from) relation [name]. *)
+let inserted name r = { empty with inserts = SMap.singleton name r }
+let deleted name r = { empty with deletes = SMap.singleton name r }
+
+(** The difference rebinding one relation makes: nothing for a shared
+    value, a diff of the two extensions otherwise. *)
+let of_relation name ~(before : Relation.t) ~(after : Relation.t) : t =
+  if before == after then empty
+  else
+    let side r = if Relation.is_empty r then SMap.empty else SMap.singleton name r in
+    {
+      inserts = side (Relation.diff after before);
+      deletes = side (Relation.diff before after);
+      scalars_changed = false;
+    }
+
+let scalars_differ (before : Db.t) (after : Db.t) =
+  (not (before.Db.scalars == after.Db.scalars))
+  && not (SMap.equal Value.equal before.Db.scalars after.Db.scalars)
+
+(** [d] with its scalar flag settled by comparing the scalars of
+    [before] and [after] directly. *)
+let with_scalars ~(before : Db.t) ~(after : Db.t) (d : t) : t =
+  let changed = scalars_differ before after in
+  if Bool.equal changed d.scalars_changed then d else { d with scalars_changed = changed }
+
 (** The exact difference taking [before] to [after]. Relations shared
     by reference between the two states are skipped without comparison:
     [Txn] commits rebind only the updated names, so this is O(changed
@@ -80,11 +106,7 @@ let of_dbs ~(before : Db.t) ~(after : Db.t) : t =
       if (not (SMap.mem name after.Db.relations)) && not (Relation.is_empty rb)
       then deletes := SMap.add name rb !deletes)
     before.Db.relations;
-  let scalars_changed =
-    (not (before.Db.scalars == after.Db.scalars))
-    && not (SMap.equal Value.equal before.Db.scalars after.Db.scalars)
-  in
-  { inserts = !inserts; deletes = !deletes; scalars_changed }
+  { inserts = !inserts; deletes = !deletes; scalars_changed = scalars_differ before after }
 
 (** Apply the relational part of a delta to a state (scalars are not
     carried by a delta and pass through unchanged). *)
@@ -108,30 +130,36 @@ let apply (d : t) (db : Db.t) : Db.t =
     Exact under the disjointness invariants: a tuple deleted by [d1]
     and re-inserted by [d2] (or vice versa) nets out of both sides. *)
 let compose (d1 : t) (d2 : t) : t =
-  let minus name r (other : Relation.t SMap.t) =
-    match SMap.find_opt name other with
-    | Some o -> Relation.diff r o
-    | None -> r
-  in
-  let combine ma mb ~cancel_a ~cancel_b =
-    SMap.merge
-      (fun name a b ->
-        let part r cancel = minus name r cancel in
-        let r : Relation.t =
-          match (a, b) with
-          | None, None -> assert false
-          | Some a, None -> part a cancel_a
-          | None, Some b -> part b cancel_b
-          | Some a, Some b -> Relation.union (part a cancel_a) (part b cancel_b)
-        in
-        if Relation.is_empty r then None else Some r)
-      ma mb
-  in
-  {
-    inserts = combine d1.inserts d2.inserts ~cancel_a:d2.deletes ~cancel_b:d1.deletes;
-    deletes = combine d1.deletes d2.deletes ~cancel_a:d2.inserts ~cancel_b:d1.inserts;
-    scalars_changed = d1.scalars_changed || d2.scalars_changed;
-  }
+  let relational (d : t) = not (SMap.is_empty d.inserts && SMap.is_empty d.deletes) in
+  let scalars_changed = d1.scalars_changed || d2.scalars_changed in
+  if not (relational d1) then { d2 with scalars_changed }
+  else if not (relational d2) then { d1 with scalars_changed }
+  else begin
+    let minus name r (other : Relation.t SMap.t) =
+      match SMap.find_opt name other with
+      | Some o -> Relation.diff r o
+      | None -> r
+    in
+    let combine ma mb ~cancel_a ~cancel_b =
+      SMap.merge
+        (fun name a b ->
+          let part r cancel = minus name r cancel in
+          let r : Relation.t =
+            match (a, b) with
+            | None, None -> assert false
+            | Some a, None -> part a cancel_a
+            | None, Some b -> part b cancel_b
+            | Some a, Some b -> Relation.union (part a cancel_a) (part b cancel_b)
+          in
+          if Relation.is_empty r then None else Some r)
+        ma mb
+    in
+    {
+      inserts = combine d1.inserts d2.inserts ~cancel_a:d2.deletes ~cancel_b:d1.deletes;
+      deletes = combine d1.deletes d2.deletes ~cancel_a:d2.inserts ~cancel_b:d1.inserts;
+      scalars_changed;
+    }
+  end
 
 let pp ppf (d : t) =
   let side label m =

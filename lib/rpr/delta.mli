@@ -35,8 +35,25 @@ val cardinal : t -> int
 
 (** The exact difference taking [before] to [after]; relations shared
     by reference between the two states are skipped, so cost is
-    proportional to the changed relations. *)
+    proportional to the changed relations. Commits take their delta
+    from the write set instead ({!Semantics.exec}); this is the
+    oracle the write sets are tested against. *)
 val of_dbs : before:Db.t -> after:Db.t -> t
+
+(** [inserted name r]: the tuples of [r], absent before, inserted into
+    relation [name]; [deleted name r]: the tuples of [r], present
+    before, deleted from it. *)
+val inserted : string -> Relation.t -> t
+
+val deleted : string -> Relation.t -> t
+
+(** The difference rebinding one relation from [before] to [after]
+    makes: {!empty} for a shared value, a diff of the two otherwise. *)
+val of_relation : string -> before:Relation.t -> after:Relation.t -> t
+
+(** [d] with its scalar flag settled by comparing the scalars of
+    [before] and [after] directly (as {!of_dbs} does). *)
+val with_scalars : before:Db.t -> after:Db.t -> t -> t
 
 (** Apply the relational part of a delta to a state. *)
 val apply : t -> Db.t -> Db.t

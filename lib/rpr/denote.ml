@@ -61,7 +61,7 @@ let meaning (env : Semantics.env) (states : Db.t list) (stmt : Stmt.t) :
     (List.mapi
        (fun i db ->
          List.filter_map
-           (fun out -> Option.map (fun j -> (i, j)) (index out))
+           (fun (out, _) -> Option.map (fun j -> (i, j)) (index out))
            (Semantics.exec env stmt db))
        states)
 

@@ -53,7 +53,7 @@ exception Dyn_error of string
 (* Outcome states of a program. Quantified variables have been
    substituted into the argument terms by the time programs run. *)
 let rec run (env : Semantics.env) (db : Db.t) : program -> Db.t list = function
-  | Prim s -> Semantics.exec env s db
+  | Prim s -> List.map fst (Semantics.exec env s db)
   | Call (name, args) ->
     (match Schema.find_proc env.Semantics.schema name with
      | None -> raise (Dyn_error (Fmt.str "unknown procedure %s" name))

@@ -41,6 +41,7 @@ type t = {
   tuples : Tuple_set.t;
   hash_cache : int Atomic.t;  (** [-1] until computed *)
   mem_cache : (Tuple.t, unit) Hashtbl.t option Atomic.t;
+  tree_probes : int Atomic.t;  (** probes answered before [mem_cache] exists *)
   col_cache : (int * index) list Atomic.t;  (** per-column value indexes *)
 }
 
@@ -52,6 +53,7 @@ let make sorts tuples =
     tuples;
     hash_cache = Atomic.make (-1);
     mem_cache = Atomic.make None;
+    tree_probes = Atomic.make 0;
     col_cache = Atomic.make [];
   }
 
@@ -68,21 +70,32 @@ let check_tuple (r : t) (tu : Tuple.t) =
       (Fmt.str "Relation: tuple of arity %d in relation of arity %d" (List.length tu)
          (arity r))
 
+(* A write that changes nothing returns [r] itself, caches included:
+   [Set.add]/[Set.remove] return their argument physically then. *)
+let rebuild (r : t) tuples = if tuples == r.tuples then r else make r.sorts tuples
+
 let add tu (r : t) =
   check_tuple r tu;
-  make r.sorts (Tuple_set.add tu r.tuples)
+  rebuild r (Tuple_set.add tu r.tuples)
 
 let remove tu (r : t) =
   check_tuple r tu;
-  make r.sorts (Tuple_set.remove tu r.tuples)
+  rebuild r (Tuple_set.remove tu r.tuples)
 
 let cardinal (r : t) = Tuple_set.cardinal r.tuples
 let is_empty (r : t) = Tuple_set.is_empty r.tuples
 
 (* Below this cardinality a balanced-tree lookup beats building a hash
-   table; above it the table is built once and every later probe is
-   O(1). *)
+   table, so [warm] builds none. *)
 let mem_index_threshold = 8
+
+(* A relation answers its first [mem_tree_probes] membership probes from
+   the balanced tree, in O(log n) each. Only a relation probed more
+   often pays the O(n) build of its membership table, after which every
+   probe is O(1): a commit probing a fresh state a few times (a delta
+   rule, a monitor) builds none, an antijoin sweeping a relation builds
+   one. *)
+let mem_tree_probes = 16
 
 (* Index-build tallies: how often the lazy caches are actually
    materialized (a concurrent duplicate build counts twice — it did
@@ -111,7 +124,7 @@ let mem tu (r : t) =
   match Atomic.get r.mem_cache with
   | Some tbl -> Hashtbl.mem tbl tu
   | None ->
-    if Tuple_set.cardinal r.tuples < mem_index_threshold then
+    if Atomic.fetch_and_add r.tree_probes 1 < mem_tree_probes then
       Tuple_set.mem tu r.tuples
     else Hashtbl.mem (mem_table r) tu
 
@@ -148,6 +161,11 @@ let index_on (col : int) (r : t) : index =
     index. *)
 let find_by ~(col : int) (value : Value.t) (r : t) : Tuple.t list =
   Option.value ~default:[] (Hashtbl.find_opt (index_on col r) value)
+
+let singleton sorts tu =
+  let r = make sorts (Tuple_set.singleton tu) in
+  check_tuple r tu;
+  r
 
 let of_list sorts tuples = List.fold_left (fun r tu -> add tu r) (empty sorts) tuples
 let to_list (r : t) = Tuple_set.elements r.tuples
@@ -246,14 +264,19 @@ let transitive_closure (r : t) : t =
   go r r
 
 (** Values appearing in each column, keyed by the column's sort: the
-    relation's contribution to the active domain. *)
+    relation's contribution to the active domain. Each column is
+    gathered and sorted once; a [bool] column keeps the implicit
+    [{false, true}] carrier. *)
 let active_domain (r : t) : Domain.t =
-  fold
-    (fun tu acc ->
-      List.fold_left2
-        (fun acc v srt -> Domain.add srt (v :: Domain.carrier acc srt) acc)
-        acc tu r.sorts)
-    r Domain.empty
+  if is_empty r then Domain.empty
+  else
+    let columns = Array.make (arity r) [] in
+    iter (List.iteri (fun i v -> columns.(i) <- v :: columns.(i))) r;
+    let d = ref Domain.empty in
+    List.iteri
+      (fun i srt -> d := Domain.add srt (columns.(i) @ Domain.carrier !d srt) !d)
+      r.sorts;
+    !d
 
 let pp ppf (r : t) =
   Fmt.pf ppf "{%a}" Fmt.(list ~sep:(any ", ") Tuple.pp) (to_list r)

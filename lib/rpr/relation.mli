@@ -37,19 +37,25 @@ val tuple_set : t -> Tuple_set.t
 
 val arity : t -> int
 
-(** Raises [Invalid_argument] on arity mismatch. *)
+(** Raises [Invalid_argument] on arity mismatch. Adding a present
+    tuple (removing an absent one) returns the relation itself, so a
+    write that changes nothing is visible as physical equality. *)
 val add : Tuple.t -> t -> t
 
 val remove : Tuple.t -> t -> t
 
-(** O(1) amortized: served by a lazily built hash table once the
-    relation is large enough to repay building it. *)
+(** O(log n) for a relation's first few probes, then O(1) from a
+    lazily built hash table: only a relation probed often enough to
+    repay the O(n) build gets one. *)
 val mem : Tuple.t -> t -> bool
 
 (** All tuples whose column [col] holds [value], via a cached
     per-column index. Raises [Invalid_argument] if [col] is out of
     range. *)
 val find_by : col:int -> Value.t -> t -> Tuple.t list
+
+(** Raises [Invalid_argument] on arity mismatch. *)
+val singleton : Sort.t list -> Tuple.t -> t
 
 val of_list : Sort.t list -> Tuple.t list -> t
 val to_list : t -> Tuple.t list

@@ -39,8 +39,19 @@ exception Exec_error of string
 
 let err fmt = Fmt.kstr (fun s -> raise (Exec_error s)) fmt
 
-let dedup_states (dbs : Db.t list) : Db.t list =
-  Util.dedup_hashed ~eq:Db.equal ~hash:Db.hash dbs
+(* An outcome: a state and the write set taking the input state to it.
+   Exact deltas are a function of the two states, so outcomes dedup by
+   state alone. *)
+type outcome = Db.t * Delta.t
+
+let same_state ((a, _) : outcome) ((b, _) : outcome) = Db.equal a b
+let state_hash ((db, _) : outcome) = Db.hash db
+let dedup_states (outs : outcome list) = Util.dedup_hashed ~eq:same_state ~hash:state_hash outs
+
+(* Prefix every outcome of a step by the write set [d] that led to the
+   step's input state. *)
+let extend_writes (d : Delta.t) (outs : outcome list) : outcome list =
+  List.map (fun (db, d') -> (db, Delta.compose d d')) outs
 
 (* The distinct-state allowance for one fixpoint exploration: the
    ad-hoc [star_limit], tightened by the budget's state cap. *)
@@ -75,30 +86,34 @@ let stmt_label = function
   | Stmt.Insert _ -> "stmt.insert"
   | Stmt.Delete _ -> "stmt.delete"
 
-(** Operational form of the meaning function [m]: all outcome states of
-    running [stmt] in [db]. An empty list means the statement is
-    blocked (its tests admit no outcome).
+(* The meaning function [m] with write sets, in the order statements
+   run: every outcome state of [stmt] in [db] paired with the exact
+   relational difference from [db] (scalar flags are settled by the
+   callers). [Insert]/[Delete] record their one tuple only when it
+   changes the relation, [Rel_assign] diffs only the relation it
+   assigns, and compounds compose their parts' write sets, so work is
+   proportional to what the statement writes.
 
-    Every statement is a [semantics] span when tracing is on (nested
-    statements nest their spans), and counts into the
-    [semantics.statements] metric always. *)
-let rec exec (env : env) (stmt : Stmt.t) (db : Db.t) : Db.t list =
+   Every statement is a [semantics] span when tracing is on (nested
+   statements nest their spans), and counts into the
+   [semantics.statements] metric always. *)
+let rec run (env : env) (stmt : Stmt.t) (db : Db.t) : outcome list =
   if Trace.enabled () then
     Trace.with_span ~cat:"semantics" (stmt_label stmt) (fun () ->
-        let outs = exec_raw env stmt db in
+        let outs = run_raw env stmt db in
         Trace.add_attr "outcomes" (string_of_int (List.length outs));
         outs)
-  else exec_raw env stmt db
+  else run_raw env stmt db
 
-and exec_raw (env : env) (stmt : Stmt.t) (db : Db.t) : Db.t list =
+and run_raw (env : env) (stmt : Stmt.t) (db : Db.t) : outcome list =
   Budget.spend_step env.budget;
   Fault.hit "semantics.exec";
   Metrics.incr c_statements;
   match stmt with
-  | Stmt.Skip -> [ db ]
+  | Stmt.Skip -> [ (db, Delta.empty) ]
   | Stmt.Scalar_assign (x, t) ->
     let v = Relcalc.eval_term ~domain:env.domain ~consts:env.consts db t in
-    [ Db.with_scalar x v db ]
+    [ (Db.with_scalar x v db, Delta.empty) ]
   | Stmt.Rel_assign (r, rt) ->
     (match Schema.find_relation env.schema r with
      | None -> err "assignment to undeclared relation %s" r
@@ -107,19 +122,24 @@ and exec_raw (env : env) (stmt : Stmt.t) (db : Db.t) : Db.t list =
          Planner.eval_rterm ~strategy:env.strategy ~schema:env.schema
            ~domain:env.domain ~consts:env.consts db rt
        in
-       [ Db.with_relation r rel db ])
+       let old =
+         Option.value ~default:(Relation.empty (Relation.sorts rel)) (Db.relation db r)
+       in
+       [ (Db.with_relation r rel db, Delta.of_relation r ~before:old ~after:rel) ])
   | Stmt.Test f ->
-    if holds env db f then [ db ] else []
-  | Stmt.Union (p, q) -> dedup_states (exec env p db @ exec env q db)
+    if holds env db f then [ (db, Delta.empty) ] else []
+  | Stmt.Union (p, q) -> dedup_states (run env p db @ run env q db)
   | Stmt.Seq (p, q) ->
-    dedup_states (List.concat_map (exec env q) (exec env p db))
+    dedup_states
+      (List.concat_map (fun (db', d) -> extend_writes d (run env q db')) (run env p db))
   | Stmt.Star p ->
     let states, truncated =
-      Util.bfs_fixpoint ~eq:Db.equal ~hash:Db.hash ~limit:(iter_limit env)
-        ~step:(exec env p) [ db ]
+      Util.bfs_fixpoint ~eq:same_state ~hash:state_hash ~limit:(iter_limit env)
+        ~step:(fun (db', d) -> extend_writes d (run env p db'))
+        [ (db, Delta.empty) ]
     in
     if truncated then truncated_fixpoint env "iteration" else states
-  | Stmt.If (c, p, q) -> if holds env db c then exec env p db else exec env q db
+  | Stmt.If (c, p, q) -> if holds env db c then run env p db else run env q db
   | Stmt.While (c, p) ->
     (* The desugaring [((c?; p))*; (~c)?] made operational: explore the
        c-states reachable through p with a visited set, so the state cap
@@ -127,25 +147,59 @@ and exec_raw (env : env) (stmt : Stmt.t) (db : Db.t) : Db.t list =
        revisits states no longer re-explores them (and no longer burns
        fuel exponentially); outcomes are the explored states where c
        fails. *)
-    let holds db = holds env db c in
-    let step db = if holds db then exec env p db else [] in
+    let holds (db, _) = holds env db c in
+    let step ((db', d) as o) = if holds o then extend_writes d (run env p db') else [] in
     let states, truncated =
-      Util.bfs_fixpoint ~eq:Db.equal ~hash:Db.hash ~limit:(iter_limit env) ~step [ db ]
+      Util.bfs_fixpoint ~eq:same_state ~hash:state_hash ~limit:(iter_limit env) ~step
+        [ (db, Delta.empty) ]
     in
     if truncated then truncated_fixpoint env "while loop"
-    else List.filter (fun db -> not (holds db)) states
+    else List.filter (fun o -> not (holds o)) states
   | Stmt.Insert (r, ts) ->
     let tu = List.map (Relcalc.eval_term ~domain:env.domain ~consts:env.consts db) ts in
-    [ Db.with_relation r (Relation.add tu (Db.relation_exn db r)) db ]
+    let rel = Db.relation_exn db r in
+    let rel' = Relation.add tu rel in
+    if rel' == rel then [ (db, Delta.empty) ]
+    else
+      [
+        ( Db.with_relation r rel' db,
+          Delta.inserted r (Relation.singleton (Relation.sorts rel) tu) );
+      ]
   | Stmt.Delete (r, ts) ->
     let tu = List.map (Relcalc.eval_term ~domain:env.domain ~consts:env.consts db) ts in
-    [ Db.with_relation r (Relation.remove tu (Db.relation_exn db r)) db ]
+    let rel = Db.relation_exn db r in
+    let rel' = Relation.remove tu rel in
+    if rel' == rel then [ (db, Delta.empty) ]
+    else
+      [
+        ( Db.with_relation r rel' db,
+          Delta.deleted r (Relation.singleton (Relation.sorts rel) tu) );
+      ]
+
+(* Settle every outcome's scalar flag against the input state [db],
+   sharing the list when nothing changes. *)
+let rec settle_scalars (db : Db.t) (outs : outcome list) : outcome list =
+  match outs with
+  | [] -> outs
+  | ((out, d) as o) :: rest ->
+    let rest' = settle_scalars db rest in
+    let d' = Delta.with_scalars ~before:db ~after:out d in
+    if d' == d && rest' == rest then outs else (if d' == d then o else (out, d')) :: rest'
+
+(** Operational form of the meaning function [m]: all outcome states of
+    running [stmt] in [db], each with the exact {!Delta.t} taking [db]
+    to it. An empty list means the statement is blocked (its tests
+    admit no outcome). *)
+let exec (env : env) (stmt : Stmt.t) (db : Db.t) : outcome list =
+  settle_scalars db (run env stmt db)
 
 (** Procedure meaning [k] (paper rule (7)): run the body with the
     formal parameters bound to [args]; restore the parameters' previous
-    scalar values in every outcome. *)
+    scalar values in every outcome. The parameters are written and then
+    restored, so each outcome's scalar flag compares the scalars
+    directly. *)
 let call_raw (env : env) (proc : Schema.proc) (args : Value.t list) (db : Db.t) :
-  Db.t list =
+  outcome list =
   Fault.hit "semantics.call";
   if List.length args <> List.length proc.Schema.pparams then
     err "procedure %s expects %d arguments, got %d" proc.Schema.pname
@@ -156,25 +210,34 @@ let call_raw (env : env) (proc : Schema.proc) (args : Value.t list) (db : Db.t) 
       (fun db (n, _) v -> Db.with_scalar n v db)
       db proc.Schema.pparams args
   in
-  let restore out =
-    List.fold_left
-      (fun out (n, old) ->
-        match old with
-        | Some v -> Db.with_scalar n v out
-        | None -> { out with Db.scalars = Db.SMap.remove n out.Db.scalars })
-      out saved
+  let restore (out, d) =
+    let out =
+      List.fold_left
+        (fun out (n, old) ->
+          match old with
+          | Some v -> Db.with_scalar n v out
+          | None -> { out with Db.scalars = Db.SMap.remove n out.Db.scalars })
+        out saved
+    in
+    (out, Delta.with_scalars ~before:db ~after:out d)
   in
-  List.map restore (exec env proc.Schema.body db') |> dedup_states
+  List.map restore (run env proc.Schema.body db') |> dedup_states
 
-(** Procedure meaning [k], traced as a [semantics.call] span. *)
-let call (env : env) (proc : Schema.proc) (args : Value.t list) (db : Db.t) :
-  Db.t list =
+(** Procedure meaning [k] with write sets, traced as a
+    [semantics.call] span. *)
+let call_delta (env : env) (proc : Schema.proc) (args : Value.t list) (db : Db.t) :
+  outcome list =
   if Trace.enabled () then
     Trace.with_span ~cat:"semantics"
       ~args:[ ("proc", proc.Schema.pname) ]
       "semantics.call"
       (fun () -> call_raw env proc args db)
   else call_raw env proc args db
+
+(** Procedure meaning [k]: {!call_delta} without the write sets. *)
+let call (env : env) (proc : Schema.proc) (args : Value.t list) (db : Db.t) :
+  Db.t list =
+  List.map fst (call_delta env proc args db)
 
 (** Call a procedure by name, requiring a single (deterministic)
     outcome. Execution-level failures come back as a structured
@@ -231,14 +294,3 @@ let query_delta (env : env) ~(before : Db.t) ~(delta : Delta.t) ?shared
         Trace.add_attr "verdict" (string_of_bool v);
         (v, publish))
   else check ()
-
-(** Operational meaning with explicit write sets: every outcome of
-    [stmt] paired with the exact {!Delta.t} taking [db] to it —
-    [Rel_assign]/[Insert]/[Delete] surface their writes,
-    [Test]/[Skip]/guards produce the empty delta, compounds compose.
-    Computed by state differencing, which is O(changed relations)
-    thanks to structure sharing across {!exec}. *)
-let exec_delta (env : env) (stmt : Stmt.t) (db : Db.t) :
-  (Db.t * Delta.t) list =
-  exec env stmt db
-  |> List.map (fun out -> (out, Delta.of_dbs ~before:db ~after:out))

@@ -41,19 +41,25 @@ val with_budget : Budget.t -> env -> env
 exception Exec_error of string
 
 (** Operational form of the meaning function m: all outcome states of
-    running the statement. An empty list means the statement is blocked
-    (its tests admit no outcome). Raises {!Exec_error} on undeclared
-    relations or exceeded iteration limits. *)
-val exec : env -> Stmt.t -> Db.t -> Db.t list
+    running the statement, each paired with the exact {!Delta.t}
+    taking the input state to it (equal to {!Delta.of_dbs} of the two).
+    The delta is the statement's write set: [Insert]/[Delete] record
+    their tuple only when it changes the relation, [Rel_assign] diffs
+    only the relation it assigns, compounds compose with net
+    cancellation, and the scalar flag compares scalars directly. An
+    empty list means the statement is blocked (its tests admit no
+    outcome). Raises {!Exec_error} on undeclared relations or exceeded
+    iteration limits. *)
+val exec : env -> Stmt.t -> Db.t -> (Db.t * Delta.t) list
 
-(** {!exec} with explicit write sets: every outcome paired with the
-    exact {!Delta.t} taking the input state to it. O(changed relations)
-    per outcome thanks to structure sharing. *)
-val exec_delta : env -> Stmt.t -> Db.t -> (Db.t * Delta.t) list
+(** Procedure meaning k (paper rule (7)) with write sets: run the body
+    with the formal parameters bound to the arguments; restore the
+    parameters' previous scalar values in every outcome, which is
+    paired with its exact {!Delta.t} as in {!exec}. *)
+val call_delta :
+  env -> Schema.proc -> Value.t list -> Db.t -> (Db.t * Delta.t) list
 
-(** Procedure meaning k (paper rule (7)): run the body with the formal
-    parameters bound to the arguments; restore the parameters' previous
-    scalar values in every outcome. *)
+(** {!call_delta} without the write sets. *)
 val call : env -> Schema.proc -> Value.t list -> Db.t -> Db.t list
 
 (** Call a procedure by name, requiring a single (deterministic)

@@ -50,15 +50,16 @@ let c_rollbacks = Metrics.counter "txn.rollbacks"
 
 let span name f = if Trace.enabled () then Trace.with_span ~cat:"txn" name f else f ()
 
-(* One procedure call, deterministically, with structured failures. *)
+(* One procedure call, deterministically, with structured failures: the
+   outcome state and the call's write set. *)
 let exec_call (env : Semantics.env) ((name, args) as c : Journal.call) (db : Db.t) :
-  (Db.t, Error.t) result =
+  (Db.t * Delta.t, Error.t) result =
   let fail code fmt = Fmt.kstr (fun m -> Result.Error (Error.make ~context:(call_context c) Error.Exec code m)) fmt in
   let run () =
     match Schema.find_proc env.Semantics.schema name with
     | None -> fail (Error.Unknown_procedure name) "unknown procedure %s" name
     | Some proc ->
-      (match Semantics.call env proc args db with
+      (match Semantics.call_delta env proc args db with
        | [ out ] -> Ok out
        | [] -> fail Error.Blocked "procedure %s blocked (no outcome)" name
        | outs ->
@@ -75,7 +76,8 @@ let exec_call (env : Semantics.env) ((name, args) as c : Journal.call) (db : Db.
 
    Schema constraints go through the planner's differential path
    ({!Semantics.query_delta}): the commit's exact delta against the
-   snapshot advances a warm materialization in O(delta) instead of
+   snapshot — built from the calls' write sets, never by diffing the
+   two states — advances a warm materialization in O(delta) instead of
    re-evaluating the plan over the whole state. The transaction's
    ad-hoc [extra_constraints] use the same path with [shared:false],
    so they never read from or publish into the shared per-schema
@@ -87,15 +89,11 @@ let exec_call (env : Semantics.env) ((name, args) as c : Journal.call) (db : Db.
    transaction never publishes a materialization of a discarded
    state. *)
 let check_constraints (txn : t) (env : Semantics.env) ~(snapshot : Db.t)
-    (db : Db.t) : ((unit -> unit) list, Error.t) result =
+    ~(delta : Delta.t) (db : Db.t) : ((unit -> unit) list, Error.t) result =
   let constraints, extras =
     if txn.check_constraints then
       (env.Semantics.schema.Schema.constraints, txn.extra_constraints)
     else ([], [])
-  in
-  let delta =
-    if constraints = [] && extras = [] then Delta.empty
-    else Delta.of_dbs ~before:snapshot ~after:db
   in
   let rec go publishes = function
     | [] -> Ok (List.rev publishes)
@@ -146,19 +144,21 @@ let run ?budget (txn : t) (calls : Journal.call list) (db : Db.t) :
   let rolled_back error = Result.Error { error; restored = snapshot } in
   let work () =
     Fault.hit "txn.begin";
-    let rec go db = function
-      | [] -> Ok db
+    (* the commit's delta is the calls' write sets composed, its
+       scalar flag settled against the snapshot *)
+    let rec go db delta = function
+      | [] -> Ok (db, Delta.with_scalars ~before:snapshot ~after:db delta)
       | c :: rest -> (
           match exec_call env c db with
-          | Ok db' -> go db' rest
+          | Ok (db', d) -> go db' (Delta.compose delta d) rest
           | Result.Error _ as e -> e)
     in
     let ( let* ) = Result.bind in
-    let* final = go db calls in
+    let* final, delta = go db Delta.empty calls in
     span "txn.commit" (fun () ->
         Fault.hit "txn.commit";
         let* publishes =
-          span "txn.check" (fun () -> check_constraints txn env ~snapshot final)
+          span "txn.check" (fun () -> check_constraints txn env ~snapshot ~delta final)
         in
         (* the monitor hook sees the exact transition the commit makes;
            its publish joins the constraint materializations' *)

@@ -20,31 +20,61 @@ let proto_error fmt =
 
 (* --- values and states as JSON --- *)
 
-let value_to_json : Value.t -> Json.t = function
-  | Value.Bool b -> Json.Bool b
-  | Value.Int n -> Json.Num (float_of_int n)
-  | Value.Sym s -> Json.Str s
-
 let value_of_json : Json.t -> Value.t option = function
   | Json.Bool b -> Some (Value.Bool b)
   | Json.Num f when Float.is_integer f -> Some (Value.Int (int_of_float f))
   | Json.Str s -> Some (Value.Sym s)
   | _ -> None
 
+(* A state renders straight from the relations' tuple sets into the
+   reply buffer: no per-tuple tree, no element lists, no per-tuple
+   allocation. The bytes are the ones the tree {"relations": {NAME:
+   [[v, ...], ...], ...}, "scalars": {NAME: v, ...}} would render to. *)
+let add_value buf = function
+  | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
+  | Value.Int n -> Json.add_int buf n
+  | Value.Sym s -> Json.add_string buf s
+
+let rec add_values buf = function
+  | [] -> ()
+  | [ v ] -> add_value buf v
+  | v :: rest ->
+    add_value buf v;
+    Buffer.add_string buf ", ";
+    add_values buf rest
+
 let db_to_json (db : Db.t) : Json.t =
-  let rel (name, r) =
-    ( name,
-      Json.Arr
-        (List.map
-           (fun tuple -> Json.Arr (List.map value_to_json tuple))
-           (Relation.to_list r)) )
-  in
-  let scalar (name, v) = (name, value_to_json v) in
-  Json.Obj
-    [
-      ("relations", Json.Obj (List.map rel (Db.relations db)));
-      ("scalars", Json.Obj (List.map scalar (Db.scalars db)));
-    ]
+  Json.Deferred
+    (fun buf ->
+      let obj add_member m =
+        let first = ref true in
+        Buffer.add_char buf '{';
+        Db.SMap.iter
+          (fun name x ->
+            if !first then first := false else Buffer.add_string buf ", ";
+            Json.add_string buf name;
+            Buffer.add_string buf ": ";
+            add_member x)
+          m;
+        Buffer.add_char buf '}'
+      in
+      let rel r =
+        let first = ref true in
+        Buffer.add_char buf '[';
+        Relation.iter
+          (fun tu ->
+            if !first then first := false else Buffer.add_string buf ", ";
+            Buffer.add_char buf '[';
+            add_values buf tu;
+            Buffer.add_char buf ']')
+          r;
+        Buffer.add_char buf ']'
+      in
+      Buffer.add_string buf "{\"relations\": ";
+      obj rel db.Db.relations;
+      Buffer.add_string buf ", \"scalars\": ";
+      obj (add_value buf) db.Db.scalars;
+      Buffer.add_char buf '}')
 
 (* The inverse, against a schema: how a follower decodes a leader
    snapshot shipped inside a fetch response. *)

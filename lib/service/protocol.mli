@@ -44,11 +44,12 @@
 open Fdbs_kernel
 open Fdbs_rpr
 
-val value_to_json : Value.t -> Json.t
 val value_of_json : Json.t -> Value.t option
 
 (** Relations as arrays of tuples (name-sorted), scalars as a flat
-    object. *)
+    object. The result is a {!Fdbs_kernel.Json.Deferred} node: the
+    state is rendered from the relations' tuple sets when the reply is
+    written, without building a tree. *)
 val db_to_json : Db.t -> Json.t
 
 (** The inverse, against a schema — how a follower decodes a leader

@@ -255,7 +255,7 @@ let domain_add_calls (schema : Schema.t) (domain : Domain.t)
        | Some p ->
          (match
             List.fold_left2
-              (fun d (_, srt) v -> Domain.add srt (v :: Domain.carrier d srt) d)
+              (fun d (_, srt) v -> Domain.extend srt v d)
               d p.Schema.pparams args
           with
           | d -> go d rest

@@ -335,19 +335,94 @@ let test_stale_state_falls_back_correctly () =
         "store B state correct" true
         (Relation.mem [ v "bob"; v "cs102" ] (Db.relation_exn b "TAKES")))
 
-let test_exec_delta_writes () =
-  let st = commit_exn (Txn.make env) [ ("offer", [ v "cs101" ]) ] db0 in
-  let stmt =
-    Stmt.Seq
-      ( Stmt.Insert ("OFFERED", [ Fdbs_logic.Term.Lit (v "cs102") ]),
-        Stmt.Delete ("OFFERED", [ Fdbs_logic.Term.Lit (v "cs101") ]) )
-  in
-  match Semantics.exec_delta env stmt st with
-  | [ (out, d) ] ->
-    Alcotest.check db "delta applies to the outcome" out (Delta.apply d st);
-    Alcotest.(check (list string)) "touches OFFERED" [ "OFFERED" ] (Delta.touches d);
-    Alcotest.(check int) "one insert + one delete" 2 (Delta.cardinal d)
-  | outs -> Alcotest.failf "expected one outcome, got %d" (List.length outs)
+(* ------------------------------------------------------------------ *)
+(* Write-set deltas against the of_dbs oracle                          *)
+(* ------------------------------------------------------------------ *)
+
+let delta_equal (a : Delta.t) (b : Delta.t) =
+  Delta.SMap.equal Relation.equal a.Delta.inserts b.Delta.inserts
+  && Delta.SMap.equal Relation.equal a.Delta.deletes b.Delta.deletes
+  && Bool.equal a.Delta.scalars_changed b.Delta.scalars_changed
+
+(* Statement leaves over the scalar constants a, b (courses) and s (a
+   student): inserts and deletes of tuples that may or may not be
+   present, relational assignments (emptying, complementing, deriving,
+   filtering), a test, a loop, and scalar assignments. *)
+let ws_params = [ ("a", "course"); ("b", "course"); ("s", "student") ]
+let ws_env = Semantics.env ~domain ~consts:[ ("a", v "cs101"); ("b", v "cs102"); ("s", v "ana") ] schema
+
+let ws_leaves =
+  List.map
+    (fun src ->
+      match Rparser.stmt ~params:ws_params schema src with
+      | Ok st -> (src, st)
+      | Error e -> failwith (Fmt.str "%s: %a" src Fdbs_kernel.Error.pp e))
+    [
+      "insert OFFERED(a)";
+      "insert OFFERED(b)";
+      "delete OFFERED(a)";
+      "delete OFFERED(b)";
+      "insert TAKES(s, a)";
+      "delete TAKES(s, a)";
+      "OFFERED := {(c:course) | false}";
+      "OFFERED := {(c:course) | ~OFFERED(c)}";
+      "OFFERED := {(c:course) | exists x:student. TAKES(x, c)}";
+      "TAKES := {(x:student, c:course) | TAKES(x, c) & OFFERED(c)}";
+      "test (OFFERED(a))";
+      "while (OFFERED(a)) do delete OFFERED(a)";
+      "last := a";
+      "last := b";
+      "skip";
+    ]
+
+let ws_stmt_gen : Stmt.t QCheck.Gen.t =
+  let open QCheck.Gen in
+  let leaf = map snd (oneofl ws_leaves) in
+  sized_size (int_range 0 4)
+    (fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (2, map2 (fun p q -> Stmt.Union (p, q)) (self (n / 2)) (self (n / 2)));
+               (3, map2 (fun p q -> Stmt.Seq (p, q)) (self (n / 2)) (self (n / 2)));
+               (1, map (fun p -> Stmt.Star p) (self (n - 1)));
+             ]))
+
+let arbitrary_ws_case =
+  QCheck.make
+    ~print:(fun (before, st) -> Fmt.str "before=%a@.stmt=%a" Db.pp before Stmt.pp st)
+    QCheck.Gen.(
+      let* before, _ = random_db_pair_gen in
+      let* last = oneofl (None :: List.map Option.some courses) in
+      let before =
+        match last with Some c -> Db.with_scalar "last" c before | None -> before
+      in
+      let* st = ws_stmt_gen in
+      return (before, st))
+
+let prop_exec_write_sets =
+  QCheck.Test.make ~name:"exec write sets equal of_dbs on random bodies" ~count:300
+    arbitrary_ws_case (fun (before, st) ->
+      let agrees (after, d) = delta_equal d (Delta.of_dbs ~before ~after) in
+      match Semantics.exec ws_env st before with
+      | outs -> List.for_all agrees outs
+      | exception Semantics.Exec_error _ -> QCheck.assume_fail ())
+
+(* Procedure calls write their parameters and restore them: the
+   outcome's scalar flag must compare the scalars, not the writes. *)
+let prop_call_write_sets =
+  QCheck.Test.make ~name:"call write sets equal of_dbs" ~count:200
+    (QCheck.make
+       ~print:(fun (before, call) ->
+         Fmt.str "before=%a@.call=%a" Db.pp before Journal.pp_call call)
+       QCheck.Gen.(pair (map fst random_db_pair_gen) random_call_gen))
+    (fun (before, (name, args)) ->
+      let proc = Option.get (Schema.find_proc schema name) in
+      List.for_all
+        (fun (after, d) -> delta_equal d (Delta.of_dbs ~before ~after))
+        (Semantics.call_delta env proc args before))
 
 (* Semi-naive closure against the naive re-composition oracle. *)
 let naive_closure r =
@@ -380,10 +455,10 @@ let suite =
       test_extra_constraints_bypass_shared_cache;
     Alcotest.test_case "stale materializations fall back correctly" `Quick
       test_stale_state_falls_back_correctly;
-    Alcotest.test_case "exec_delta pairs outcomes with their writes" `Quick
-      test_exec_delta_writes;
     QCheck_alcotest.to_alcotest prop_advance_agrees;
     QCheck_alcotest.to_alcotest prop_of_dbs_apply_roundtrip;
     QCheck_alcotest.to_alcotest prop_txn_incremental_agrees;
     QCheck_alcotest.to_alcotest prop_closure_semi_naive;
+    QCheck_alcotest.to_alcotest prop_exec_write_sets;
+    QCheck_alcotest.to_alcotest prop_call_write_sets;
   ]

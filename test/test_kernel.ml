@@ -82,6 +82,54 @@ let test_parse_error_rendering () =
   | Error msg ->
     Alcotest.(check bool) "mentions offset" true (contains_substring msg "offset")
 
+(* Every string the writer emits parses back to itself: quotes,
+   backslashes, control bytes (written as \r, \n, \t and \u00XX) and
+   raw high bytes alike. *)
+let prop_json_string_roundtrip =
+  QCheck.Test.make ~name:"json string escapes round-trip" ~count:500
+    QCheck.(
+      make ~print:String.escaped
+        Gen.(string_size ~gen:(oneof [ char; oneofl [ '"'; '\\'; '\r'; '\001'; '\031' ] ]) (int_range 0 24)))
+    (fun s ->
+      match Json.parse (Json.to_string (Json.Str s)) with
+      | Json.Str s' -> String.equal s s'
+      | _ -> false)
+
+let test_json_escapes () =
+  let parses src expected =
+    Alcotest.(check string) src expected
+      (match Json.parse src with Json.Str s -> s | _ -> Alcotest.fail "not a string")
+  in
+  parses {|"a\rb"|} "a\rb";
+  parses {|"\b\f\/"|} "\b\012/";
+  parses {|"a\u0001b"|} "a\001b";
+  parses {|"\u00e9"|} "\xc3\xa9";
+  parses {|"\ud83d\ude00"|} "\xf0\x9f\x98\x80";
+  Alcotest.(check bool) "lone surrogate rejected" true
+    (match Json.parse {|"\ud83d"|} with
+     | exception Json.Parse_error _ -> true
+     | _ -> false);
+  (* a deferred node renders in place, as its tree would *)
+  let deferred =
+    Json.Deferred
+      (fun buf ->
+        Buffer.add_char buf '[';
+        Json.add_int buf 1;
+        Buffer.add_string buf ", ";
+        Json.add_string buf "x";
+        Buffer.add_char buf ']')
+  in
+  Alcotest.(check string) "deferred renders in place"
+    (Json.to_string (Json.Obj [ ("k", Json.Arr [ Json.Num 1.; Json.Str "x" ]) ]))
+    (Json.to_string (Json.Obj [ ("k", deferred) ]));
+  (* a writer that renders another document while the shared buffer is
+     in use gets its own *)
+  let nested =
+    Json.Deferred (fun buf -> Json.add_string buf (Json.to_string (Json.Arr [ deferred ])))
+  in
+  Alcotest.(check string) "nested rendering" {|["[[1, \"x\"]]", null]|}
+    (Json.to_string (Json.Arr [ nested; Json.Null ]))
+
 let suite =
   [
     Alcotest.test_case "value equality" `Quick test_value_equal;
@@ -95,4 +143,6 @@ let suite =
     Alcotest.test_case "lexer symbols" `Quick test_lexer_symbols;
     Alcotest.test_case "lexer error" `Quick test_lexer_error;
     Alcotest.test_case "parse error rendering" `Quick test_parse_error_rendering;
+    Alcotest.test_case "json escapes decode" `Quick test_json_escapes;
+    QCheck_alcotest.to_alcotest prop_json_string_roundtrip;
   ]

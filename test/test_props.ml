@@ -165,6 +165,84 @@ let prop_active_domain_covers =
         r)
 
 (* ------------------------------------------------------------------ *)
+(* Set-backed domains against the list-rebuilding oracles              *)
+(* ------------------------------------------------------------------ *)
+
+(* Values of every kind over two named sorts and [bool]; [bool]-sorted
+   positions hold booleans, as in any well-typed state. *)
+let domain_sorts = [ "a"; "b"; Sort.bool ]
+
+let value_of_sort_gen srt =
+  let open QCheck.Gen in
+  if Sort.is_bool srt then map (fun b -> Value.Bool b) bool
+  else
+    oneof
+      [
+        map (fun i -> Value.Sym (Fmt.str "v%d" i)) (int_range 0 5);
+        map (fun i -> Value.Int i) (int_range (-3) 3);
+        map (fun b -> Value.Bool b) bool;
+      ]
+
+let old_extend srt v d = Domain.add srt (v :: Domain.carrier d srt) d
+
+let same_domain d1 d2 =
+  String.equal (Fmt.str "%a" Domain.pp d1) (Fmt.str "%a" Domain.pp d2)
+  && List.equal Sort.equal (Domain.sorts d1) (Domain.sorts d2)
+  && List.for_all
+       (fun srt ->
+         List.equal Value.equal (Domain.carrier d1 srt) (Domain.carrier d2 srt)
+         && List.for_all
+              (fun v -> Domain.mem d1 srt v = Domain.mem d2 srt v)
+              (Value.Bool true :: Value.Int 0 :: Value.Sym "v0" :: Value.Sym "zz"
+               :: Domain.carrier d2 srt))
+       domain_sorts
+
+let prop_domain_extend_oracle =
+  QCheck.Test.make ~name:"Domain.extend agrees with add over the carrier" ~count:300
+    (QCheck.make
+       ~print:(Fmt.str "%a" Fmt.(list (pair ~sep:(any ":") string Value.pp)))
+       QCheck.Gen.(
+         list_size (int_range 0 30)
+           (let* srt = oneofl domain_sorts in
+            let* v = value_of_sort_gen srt in
+            return (srt, v))))
+    (fun steps ->
+      let d_new = List.fold_left (fun d (srt, v) -> Domain.extend srt v d) Domain.empty steps in
+      let d_old = List.fold_left (fun d (srt, v) -> old_extend srt v d) Domain.empty steps in
+      same_domain d_new d_old)
+
+(* The per-tuple fold [Relation.active_domain] used to run. *)
+let old_active_domain r =
+  Relation.fold
+    (fun tu acc -> List.fold_left2 (fun acc v srt -> old_extend srt v acc) acc tu (Relation.sorts r))
+    r Domain.empty
+
+(* The list-concatenating union [Domain.union] used to be. *)
+let old_union d1 d2 =
+  List.fold_left
+    (fun d srt -> Domain.add srt (Domain.carrier d1 srt @ Domain.carrier d2 srt) d)
+    Domain.empty
+    (List.sort_uniq Sort.compare (Domain.sorts d1 @ Domain.sorts d2))
+
+let random_sorted_relation_gen =
+  let open QCheck.Gen in
+  let* sorts = list_size (int_range 1 3) (oneofl domain_sorts) in
+  let tuple = flatten_l (List.map value_of_sort_gen sorts) in
+  let* tuples = list_size (int_range 0 12) tuple in
+  return (Relation.of_list sorts tuples)
+
+let prop_active_domain_oracle =
+  QCheck.Test.make ~name:"active domain agrees with the per-tuple fold" ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) -> Fmt.str "%a / %a" Relation.pp a Relation.pp b)
+       QCheck.Gen.(pair random_sorted_relation_gen random_sorted_relation_gen))
+    (fun (r1, r2) ->
+      let db = Db.empty |> Db.with_relation "R1" r1 |> Db.with_relation "R2" r2 in
+      same_domain (Relation.active_domain r1) (old_active_domain r1)
+      && same_domain (Db.active_domain db)
+           (old_union (old_union Domain.empty (old_active_domain r1)) (old_active_domain r2)))
+
+(* ------------------------------------------------------------------ *)
 (* The indexed relation is observationally a list model                *)
 (* ------------------------------------------------------------------ *)
 
@@ -192,11 +270,12 @@ let prop_model_membership =
   QCheck.Test.make ~name:"indexed membership agrees with the list model" ~count:300
     arbitrary_tuples_and_probe (fun (tuples, probe) ->
       let r = Relation.of_list [ "a"; "b" ] tuples in
-      (* probe twice: before and after the lazy membership table exists *)
-      let first = Relation.mem probe r in
-      let again = Relation.mem probe r in
+      (* probe before and after the lazy membership table exists: the
+         first answers come from the tree, the later ones from the
+         table *)
+      let answers = List.init 20 (fun _ -> Relation.mem probe r) in
       let model = List.exists (fun tu -> tuple_compare tu probe = 0) tuples in
-      first = model && again = model)
+      List.for_all (Bool.equal model) answers)
 
 let prop_model_union_to_list =
   QCheck.Test.make ~name:"union/to_list agree with the list model" ~count:200
@@ -327,7 +406,7 @@ let prop_desugar_preserves_semantics =
              (Relation.of_list [ "course" ] [ [ v "cs101" ] ])
       in
       let core = Stmt.desugar ~sorts_of:(Schema.sorts_of schema) s in
-      let norm dbs = List.sort compare (List.map Db.key dbs) in
+      let norm outs = List.sort compare (List.map (fun (db, _) -> Db.key db) outs) in
       norm (Semantics.exec env s db0) = norm (Semantics.exec env core db0))
 
 (* Relational-term evaluation strategies agree on random statements'
@@ -339,7 +418,7 @@ let prop_strategies_agree =
       let env_auto = Semantics.env ~strategy:`Auto ~domain schema in
       let db0 = Semantics.call_det_exn env_auto "initiate" [] (Schema.empty_db schema) in
       let core = Stmt.desugar ~sorts_of:(Schema.sorts_of schema) s in
-      let norm dbs = List.sort compare (List.map Db.key dbs) in
+      let norm outs = List.sort compare (List.map (fun (db, _) -> Db.key db) outs) in
       norm (Semantics.exec env_naive core db0) = norm (Semantics.exec env_auto core db0))
 
 let suite =
@@ -353,6 +432,8 @@ let suite =
       prop_diff_inter_disjoint;
       prop_select_distributes_over_union;
       prop_active_domain_covers;
+      prop_domain_extend_oracle;
+      prop_active_domain_oracle;
       prop_model_membership;
       prop_model_union_to_list;
       prop_model_equal_and_hash;

@@ -116,7 +116,7 @@ let test_insert_delete_desugar () =
   let out1 = Semantics.exec env stmt db0 in
   let out2 = Semantics.exec env core db0 in
   (match (out1, out2) with
-   | [ a ], [ b ] -> Alcotest.(check bool) "same outcome" true (Db.equal a b)
+   | [ (a, _) ], [ (b, _) ] -> Alcotest.(check bool) "same outcome" true (Db.equal a b)
    | _ -> Alcotest.fail "expected deterministic outcomes")
 
 let test_while_desugar_agree () =
@@ -133,7 +133,7 @@ let test_while_desugar_agree () =
   let out_direct = Semantics.exec env body db1 in
   let out_core = Semantics.exec env (Stmt.desugar ~sorts_of body) db1 in
   (match (out_direct, out_core) with
-   | [ a ], [ b ] ->
+   | [ (a, _) ], [ (b, _) ] ->
      Alcotest.(check bool) "course deleted" false (offered a "cs101");
      Alcotest.(check bool) "desugaring agrees" true (Db.equal a b)
    | _ -> Alcotest.fail "expected single outcomes")
@@ -500,7 +500,7 @@ let test_scalar_assignment () =
   in
   let env = Semantics.env ~domain ~consts:[ ("c", v "cs101") ] schema in
   match Semantics.exec env s db0 with
-  | [ db' ] ->
+  | [ (db', _) ] ->
     Alcotest.(check bool) "scalar bound" true
       (Db.scalar db' "x" = Some (v "cs101"))
   | _ -> Alcotest.fail "expected one outcome"

@@ -795,6 +795,70 @@ let batch_frames_roundtrip =
             | Error _ -> false)
       | _ -> false)
 
+(* The tree-building state encoder the streamed [Protocol.db_to_json]
+   replaced, kept as its reference: the streamed bytes must equal this
+   tree's rendering. *)
+let reference_db_to_json (db : Db.t) : Json.t =
+  let value_to_json : Value.t -> Json.t = function
+    | Value.Bool b -> Json.Bool b
+    | Value.Int n -> Json.Num (float_of_int n)
+    | Value.Sym s -> Json.Str s
+  in
+  let rel (name, r) =
+    ( name,
+      Json.Arr
+        (List.map
+           (fun tuple -> Json.Arr (List.map value_to_json tuple))
+           (Relation.to_list r)) )
+  in
+  let scalar (name, v) = (name, value_to_json v) in
+  Json.Obj
+    [
+      ("relations", Json.Obj (List.map rel (Db.relations db)));
+      ("scalars", Json.Obj (List.map scalar (Db.scalars db)));
+    ]
+
+(* Random states: symbols holding quotes, backslashes, control and high
+   bytes; ints around zero, negative, and past the exact-print range;
+   bools; empty relations and none; scalars and none. *)
+let random_encoding_db =
+  let open QCheck.Gen in
+  let sym =
+    string_size ~gen:(oneof [ printable; oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\027'; '\255' ] ])
+      (int_range 0 6)
+  in
+  let value =
+    oneof
+      [
+        map (fun s -> Value.Sym s) sym;
+        map (fun n -> Value.Int n) (int_range (-1000) 1000);
+        map (fun n -> Value.Int n)
+          (oneofl [ 0; -1; max_int; min_int; 999_999_999_999_999; 1_000_000_000_000_000; -1_000_000_000_000_000 ]);
+        map (fun b -> Value.Bool b) bool;
+      ]
+  in
+  let relation =
+    let* arity = int_range 1 3 in
+    let* tuples = list_size (int_range 0 5) (list_repeat arity value) in
+    return (Relation.of_list (List.init arity (fun _ -> "s")) tuples)
+  in
+  let* rels = list_size (int_range 0 3) (pair sym relation) in
+  let* scalars = list_size (int_range 0 3) (pair sym value) in
+  let db = List.fold_left (fun db (n, r) -> Db.with_relation n r db) Db.empty rels in
+  return (List.fold_left (fun db (n, v) -> Db.with_scalar n v db) db scalars)
+
+let streamed_encoding_matches_tree =
+  QCheck.Test.make ~name:"streamed state encoding equals the tree" ~count:300
+    (QCheck.make ~print:(Fmt.str "%a" Db.pp) random_encoding_db)
+    (fun db ->
+      let streamed = Json.to_string (Protocol.db_to_json db) in
+      String.equal streamed (Json.to_string (reference_db_to_json db))
+      && String.equal
+           (Protocol.ok_response ~id:(Json.Num 7.)
+              (Json.Obj [ ("completed", Json.Num 1.); ("state", Protocol.db_to_json db) ]))
+           (Protocol.ok_response ~id:(Json.Num 7.)
+              (Json.Obj [ ("completed", Json.Num 1.); ("state", reference_db_to_json db) ])))
+
 let suite =
   [
     Alcotest.test_case "planner cache stays warm across session calls" `Quick
@@ -841,4 +905,5 @@ let suite =
         concurrent_commits_serializable;
         replication_converges;
         batch_frames_roundtrip;
+        streamed_encoding_matches_tree;
       ]
