@@ -1045,7 +1045,7 @@ let bench_active_domain_alloc ~n =
    pipelined read-ahead loop, admission accounting, and the corked
    flush all sit on this path. *)
 module Server = Fdbs_service.Server
-module Protocol = Fdbs_service.Protocol
+module Client = Fdbs_service.Client
 
 let gw_clients = 8
 let gw_requests = 500
@@ -1057,16 +1057,14 @@ let gateway_request i =
       i
   else Fmt.str {|{"id": %d, "op": "ping"}|} i
 
-let gateway_drive fd =
-  let ic = Unix.in_channel_of_descr fd in
-  let oc = Unix.out_channel_of_descr fd in
+let gateway_drive c =
   let sent = ref 0 and got = ref 0 in
   while !got < gw_requests do
     while !sent < gw_requests && !sent - !got < gw_window do
-      Protocol.output_frame oc (gateway_request !sent);
+      Client.send c (gateway_request !sent);
       incr sent
     done;
-    flush oc;
+    Client.flush c;
     (* drain to half a window so the next burst overlaps the server's
        replies instead of strictly alternating *)
     let target =
@@ -1074,14 +1072,14 @@ let gateway_drive fd =
       else Stdlib.min gw_requests (!got + (gw_window / 2))
     in
     while !got < target do
-      match Protocol.read_frame ic with
+      match Client.recv c with
       | None -> invalid_arg "bench: gateway server closed the connection"
       | Some _ -> incr got
     done
   done;
   (* closing here, not after the join, releases this connection's
      worker to the next queued connection *)
-  Unix.close fd
+  Client.close c
 
 let bench_gateway_rps () =
   let sock = Filename.temp_file "fdbs_bench_gw" ".sock" in
@@ -1109,22 +1107,20 @@ let bench_gateway_rps () =
   done;
   Mutex.unlock ready_m;
   let connect () =
-    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-    Unix.connect fd (Unix.ADDR_UNIX sock);
-    fd
+    match Client.connect (Unix.ADDR_UNIX sock) with
+    | Ok c -> c
+    | Error e -> invalid_arg ("bench: gateway " ^ e.Error.message)
   in
-  let fds = Array.init gw_clients (fun _ -> connect ()) in
+  let conns = Array.init gw_clients (fun _ -> connect ()) in
   let t0 = Unix.gettimeofday () in
   let drivers =
-    Array.map (fun fd -> Stdlib.Domain.spawn (fun () -> gateway_drive fd)) fds
+    Array.map (fun c -> Stdlib.Domain.spawn (fun () -> gateway_drive c)) conns
   in
   Array.iter Stdlib.Domain.join drivers;
   let elapsed = Unix.gettimeofday () -. t0 in
-  let fd = connect () in
-  let oc = Unix.out_channel_of_descr fd in
-  Protocol.write_frame oc {|{"id": 0, "op": "shutdown"}|};
-  ignore (Protocol.read_frame (Unix.in_channel_of_descr fd));
-  Unix.close fd;
+  let c = connect () in
+  ignore (Client.rpc c {|{"id": 0, "op": "shutdown"}|});
+  Client.close c;
   (match Stdlib.Domain.join server with
   | Ok _ -> ()
   | Error _ -> invalid_arg "bench: gateway server failed");

@@ -28,6 +28,7 @@ open Fdbs_kernel
 module Session = Fdbs_service.Session
 module Protocol = Fdbs_service.Protocol
 module Server = Fdbs_service.Server
+module Client = Fdbs_service.Client
 
 let read_file path =
   let ic = open_in_bin path in
@@ -88,7 +89,7 @@ let observe trace stats =
 (* ------------------------------------------------------------------ *)
 
 (* Every knob that used to be plumbed per-subcommand, folded into one
-   Fdbs_service.Config.t term shared by run, replay, serve, verify,
+   Fdbs_kernel.Config.t term shared by run, replay, serve, verify,
    verify-files and stats. *)
 
 let check_constraints_arg =
@@ -460,30 +461,33 @@ let tcp_arg =
          ~doc:"Listen on (or connect to) a TCP endpoint instead of a \
                Unix-domain socket; HOST must be an IP literal.")
 
+(* HOST:PORT, when the suffix parses as a port on a non-empty host. *)
+let host_port (s : string) =
+  match String.rindex_opt s ':' with
+  | None -> None
+  | Some i ->
+    let host = String.sub s 0 i in
+    (match int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1)) with
+     | Some p when String.length host > 0 -> Some (`Tcp (host, p))
+     | _ -> None)
+
 let listen_of socket tcp : Server.listen =
   match tcp with
   | None -> `Unix (Option.value ~default:"fds.sock" socket)
   | Some hp ->
-    (match String.rindex_opt hp ':' with
-     | None -> exit_err "--tcp expects HOST:PORT, got %S" hp
-     | Some i ->
-       let host = String.sub hp 0 i in
-       let port = String.sub hp (i + 1) (String.length hp - i - 1) in
-       (match int_of_string_opt port with
-        | Some p when String.length host > 0 -> `Tcp (host, p)
-        | _ -> exit_err "--tcp expects HOST:PORT, got %S" hp))
+    (match host_port hp with
+     | Some tcp -> tcp
+     | None -> exit_err "--tcp expects HOST:PORT, got %S" hp)
 
-(* A replication peer address: HOST:PORT when the suffix parses as a
-   port on a non-empty host, a Unix-domain socket path otherwise. *)
+(* A client connection to --socket/--tcp, or exit with the reason. *)
+let connect_client ~retries socket tcp =
+  match Client.connect ~retries (Server.address (listen_of socket tcp)) with
+  | Ok c -> c
+  | Error e -> exit_err "%s" e.Error.message
+
+(* A replication peer address: HOST:PORT, or a Unix-domain socket path. *)
 let peer_of (addr : string) : Server.listen =
-  match String.rindex_opt addr ':' with
-  | None -> `Unix addr
-  | Some i ->
-    let host = String.sub addr 0 i in
-    let port = String.sub addr (i + 1) (String.length addr - i - 1) in
-    (match int_of_string_opt port with
-     | Some p when String.length host > 0 -> `Tcp (host, p)
-     | _ -> `Unix addr)
+  Option.value (host_port addr) ~default:(`Unix addr)
 
 let serve_cmd =
   let workers =
@@ -628,47 +632,17 @@ let client_cmd =
                  count.")
   in
   let run socket tcp retries pool repeat quiet requests =
-    let addr =
-      match listen_of socket tcp with
-      | `Unix path -> Unix.ADDR_UNIX path
-      | `Tcp (host, port) -> Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
-    in
-    Random.self_init ();
-    let backoff attempt =
-      (* 0.1s * 2^attempt, capped at 1s, with +/-25% jitter so racing
-         clients don't reconnect in lockstep *)
-      let base = Stdlib.min 1.0 (0.1 *. (2. ** float_of_int attempt)) in
-      Unix.sleepf (base *. (0.75 +. Random.float 0.5))
-    in
-    let transient = function
-      | Unix.ECONNREFUSED | Unix.ECONNRESET | Unix.ENOENT
-      | Unix.ENETUNREACH | Unix.EPIPE -> true
-      | _ -> false
-    in
-    let rec connect attempt =
-      let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-      match Unix.connect sock addr with
-      | () -> sock
-      | exception Unix.Unix_error (err, _, _) ->
-        Unix.close sock;
-        if attempt < retries && transient err then (
-          backoff attempt;
-          connect (attempt + 1))
-        else exit_err "cannot connect: %s" (Unix.error_message err)
-    in
     let responded = ref 0 in
     (* A close before any response usually means the server died (or was
        killed) between accept and reply: for positional requests nothing
        was consumed yet, so the whole batch can retry on a fresh
-       connection. Once a response has printed, or in stdin mode (lines
-       already consumed), a close is fatal. *)
+       connection, whose connect backs off while the server is down.
+       Once a response has printed, or in stdin mode (lines already
+       consumed), a close is fatal. *)
     let rec session attempt =
-      let sock = connect attempt in
-      let ic = Unix.in_channel_of_descr sock in
-      let oc = Unix.out_channel_of_descr sock in
+      let c = connect_client ~retries:(retries - attempt) socket tcp in
       let exchange req =
-        Protocol.write_frame oc req;
-        match Protocol.read_frame ic with
+        match Client.rpc c req with
         | Some resp ->
           print_endline resp;
           incr responded
@@ -689,14 +663,13 @@ let client_cmd =
         | [] -> stdin_loop ()
         | reqs -> List.iter exchange reqs
       with
-      | () -> close_out_noerr oc
+      | () -> Client.close c
       | exception (End_of_file | Sys_error _ | Error.Error _)
         when !responded = 0 && requests <> [] && attempt < retries ->
-        close_out_noerr oc;
-        backoff attempt;
+        Client.close c;
         session (attempt + 1)
       | exception (End_of_file | Sys_error _) ->
-        close_out_noerr oc;
+        Client.close c;
         exit_err "server closed the connection"
     in
     if pool <= 1 && repeat <= 1 && not quiet then session 0
@@ -723,27 +696,20 @@ let client_cmd =
       in
       let pool = Stdlib.max 1 pool in
       let conns =
-        Array.init pool (fun _ ->
-            let sock = connect 0 in
-            (Unix.in_channel_of_descr sock, Unix.out_channel_of_descr sock))
+        Array.init pool (fun _ -> connect_client ~retries socket tcp)
       in
       let count = ref 0 in
       List.iteri
         (fun i req ->
-          let ic, oc = conns.(i mod pool) in
-          match
-            Protocol.write_frame oc req;
-            Protocol.read_frame ic
-          with
+          match Client.rpc conns.(i mod pool) req with
           | Some resp ->
             incr count;
             if not quiet then print_endline resp
-          | None -> exit_err "server closed the connection"
-          | exception (End_of_file | Sys_error _) ->
+          | None | exception Sys_error _ ->
             exit_err "server closed the connection"
           | exception Error.Error e -> exit_err "%s" (Error.to_string e))
         script;
-      Array.iter (fun (_, oc) -> close_out_noerr oc) conns;
+      Array.iter Client.close conns;
       if quiet then Fmt.pr "%d responses@." !count
     end
   in
@@ -786,33 +752,11 @@ let monitor_cmd =
       (config : Config.t) =
     setup config;
     if subscribe then begin
-      (* live mode: raw protocol client over the typed frame helpers *)
-      let addr =
-        match listen_of socket tcp with
-        | `Unix path -> Unix.ADDR_UNIX path
-        | `Tcp (host, port) ->
-          Unix.ADDR_INET (Unix.inet_addr_of_string host, port)
-      in
-      let rec connect attempt =
-        let sock =
-          Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0
-        in
-        match Unix.connect sock addr with
-        | () -> sock
-        | exception Unix.Unix_error (err, _, _) ->
-          Unix.close sock;
-          (match err with
-           | (Unix.ECONNREFUSED | Unix.ENOENT) when attempt < 50 ->
-             Unix.sleepf 0.1;
-             connect (attempt + 1)
-           | _ -> exit_err "cannot connect: %s" (Unix.error_message err))
-      in
-      let sock = connect 0 in
-      let ic = Unix.in_channel_of_descr sock in
-      let oc = Unix.out_channel_of_descr sock in
+      (* live mode: a protocol client. Ten retries wait at least 5.6 s
+         in all, even at the lowest jitter, for a server still booting. *)
+      let client = connect_client ~retries:10 socket tcp in
       let exchange req =
-        Protocol.write_frame oc (Json.to_string req);
-        match Protocol.read_frame ic with
+        match Client.rpc client (Json.to_string req) with
         | None -> exit_err "server closed the connection"
         | Some payload ->
           (match Json.parse payload with
@@ -852,7 +796,7 @@ let monitor_cmd =
       let rec stream seen =
         if events > 0 && seen >= events then ()
         else
-          match Protocol.read_frame ic with
+          match Client.recv client with
           | None -> ()
           | Some payload ->
             print_endline payload;
@@ -868,7 +812,7 @@ let monitor_cmd =
             stream seen
       in
       stream 0;
-      close_out_noerr oc
+      Client.close client
     end
     else begin
       let require what = function

@@ -172,32 +172,6 @@ let call_of_json (v : Json.t) : (Journal.call, Error.t) result =
 
 (* --- framing --- *)
 
-(* A blank header line is skipped, not end-of-stream: a stray
-   keepalive newline from a pipelining client must not kill the
-   connection. (It used to return [None], silently ending the session.) *)
-let rec read_frame (ic : in_channel) : string option =
-  match input_line ic with
-  | exception End_of_file -> None
-  | header ->
-    let header = String.trim header in
-    if header = "" then read_frame ic
-    else (
-      match int_of_string_opt header with
-      | None ->
-        raise
-          (Error.Error (proto_error "bad frame header %S: expected a length" header))
-      | Some n when n < 0 || n > max_frame ->
-        raise (Error.Error (proto_error "bad frame length %d" n))
-      | Some n ->
-        let buf = really_input_string ic n in
-        (* consume the trailing newline; tolerate its absence at EOF *)
-        (try
-           match input_char ic with
-           | '\n' -> ()
-           | _ -> raise (Error.Error (proto_error "frame missing trailing newline"))
-         with End_of_file -> ());
-        Some buf)
-
 (* Write a frame into the channel's buffer without flushing — the
    pipelined server corks a burst of responses and flushes once. *)
 let output_frame (oc : out_channel) (payload : string) : unit =
@@ -206,18 +180,14 @@ let output_frame (oc : out_channel) (payload : string) : unit =
   output_string oc payload;
   output_char oc '\n'
 
-let write_frame (oc : out_channel) (payload : string) : unit =
-  output_frame oc payload;
-  flush oc
+(* --- the frame reader --- *)
 
-(* --- the server's pipelined reader --- *)
-
-(* A buffered frame reader over a raw file descriptor. Unlike the
-   in_channel path it can tell "no more input available right now"
+(* The one frame parser, over a raw file descriptor, for both ends of
+   a connection. It can tell "no more input available right now"
    ([`Pending]) apart from "blocked waiting for the next request", so
    the server can drain every frame the client already sent, answer
    them all, and flush the responses in one write before blocking
-   again. *)
+   again; {!Client} reads with [block:true]. *)
 module Reader = struct
   type t = {
     fd : Unix.file_descr;
@@ -259,8 +229,9 @@ module Reader = struct
     end
 
   (* One complete frame from the buffered bytes, or [`More]. Blank
-     header lines are consumed and skipped, mirroring {!read_frame}.
-     Raises {!Error.Error} on a malformed frame. *)
+     header lines are consumed and skipped, not read as end of stream:
+     a stray keepalive newline from a pipelining client must not kill
+     the connection. Raises {!Error.Error} on a malformed frame. *)
   let try_frame r : [ `Frame of string | `More ] =
     let fail e = raise (Error.Error e) in
     let rec go () =
@@ -270,12 +241,21 @@ module Reader = struct
         else find_nl (i + 1)
       in
       match find_nl r.pos with
-      | None ->
+      | None when not r.eof ->
         (* no header newline yet; a "header" longer than any length
            literal is malformed, not pending *)
         if r.len - r.pos > 32 then
           fail (proto_error "bad frame header: no length before newline")
         else `More
+      | None -> (
+        (* at EOF only blank bytes may remain (32 at most: the branch
+           above rejects longer ones before EOF); a cut-off length or
+           stray text is malformed, not a clean end of stream *)
+        match String.trim (Bytes.sub_string r.buf r.pos (r.len - r.pos)) with
+        | "" -> `More
+        | rest when Option.is_some (int_of_string_opt rest) ->
+          fail (proto_error "truncated frame at end of stream")
+        | rest -> fail (proto_error "bad frame header %S: expected a length" rest))
       | Some nl ->
         let header = String.trim (Bytes.sub_string r.buf r.pos (nl - r.pos)) in
         if header = "" then begin

@@ -1,7 +1,9 @@
 (** The [fds serve] wire protocol.
 
     A frame is a decimal byte length, a newline, the payload (one JSON
-    document), and a newline. Requests are objects
+    document), and a newline. {!Reader} parses frames and
+    {!output_frame} writes them; {!Client} is the client side of a
+    connection. Requests are objects
     [{"id": <any>, "op": <string>, ...}]; responses echo the [id] and
     carry [{"ok": true, "result": ...}] or
     [{"ok": false, "error": ...}] with the error rendered by
@@ -62,21 +64,15 @@ val parse_call : string -> (Journal.call, Error.t) result
 
 val call_of_json : Json.t -> (Journal.call, Error.t) result
 
-(** [read_frame ic] is the next payload, [None] on a clean end of
-    stream. Blank header lines are skipped, not treated as EOF. Raises
-    {!Fdbs_kernel.Error.Error} on a malformed frame. *)
-val read_frame : in_channel -> string option
-
 (** Buffer a frame without flushing — callers pipelining several
-    responses cork them and flush once. *)
+    frames cork them and flush once. *)
 val output_frame : out_channel -> string -> unit
 
-(** {!output_frame} followed by a flush. *)
-val write_frame : out_channel -> string -> unit
-
-(** A buffered frame reader over a raw descriptor that can distinguish
-    "nothing buffered or immediately readable" from "waiting for the
-    next request" — the server's pipelining primitive. *)
+(** The one frame parser, used by both ends of a connection: the
+    server reads requests with it and {!Client} reads replies. It works
+    over a raw descriptor so it can distinguish "nothing buffered or
+    immediately readable" from "waiting for the next request" — the
+    server's pipelining primitive. *)
 module Reader : sig
   type t
 
@@ -84,9 +80,11 @@ module Reader : sig
 
   (** The next frame. [block:false] consumes only bytes already
       buffered or immediately readable and answers [`Pending] when the
-      pipeline is drained; [block:true] waits. [`Eof] is a clean end of
-      stream. Raises {!Fdbs_kernel.Error.Error} on a malformed
-      frame. *)
+      pipeline is drained; [block:true] waits. Blank header lines are
+      skipped, and a missing trailing newline is tolerated at EOF.
+      [`Eof] is a clean end of stream: nothing but blank bytes after
+      the last frame. Raises {!Fdbs_kernel.Error.Error} on a malformed
+      frame, including a cut-off length or stray bytes at EOF. *)
   val next : t -> block:bool -> [ `Frame of string | `Eof | `Pending ]
 end
 

@@ -425,8 +425,9 @@ let serve_ready server conn =
       Metrics.incr c_bad_frames;
       (try
          with_wlock conn (fun () ->
-             Protocol.write_frame conn.oc
-               (Protocol.error_response ~id:Json.Null e))
+             Protocol.output_frame conn.oc
+               (Protocol.error_response ~id:Json.Null e);
+             flush conn.oc)
        with Sys_error _ -> ());
       `Close
     | End_of_file | Sys_error _ -> `Close
@@ -464,12 +465,11 @@ let worker server () =
 let shed_connection fd =
   Metrics.incr c_shed;
   let oc = Unix.out_channel_of_descr fd in
-  (try
-     Protocol.write_frame oc
-       (Protocol.error_response ~id:Json.Null
-          (Error.overloaded ~retry_after_s:0.1
-             "server overloaded: accept queue is full"))
-   with Sys_error _ -> ());
+  Protocol.output_frame oc
+    (Protocol.error_response ~id:Json.Null
+       (Error.overloaded ~retry_after_s:0.1
+          "server overloaded: accept queue is full"));
+  (* the close flushes the frame, ignoring a peer that has gone *)
   close_out_noerr oc
 
 let enqueue_ready server conn =
@@ -564,14 +564,6 @@ let sleep_poll server seconds =
   in
   go seconds
 
-let connect_leader (addr : Unix.sockaddr) =
-  let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-  match Unix.connect sock addr with
-  | () -> Some sock
-  | exception Unix.Unix_error (_, _, _) ->
-    Unix.close sock;
-    None
-
 (* Stream committed entries from the leader and apply them. One fetch
    round-trip per poll tick when caught up (heartbeats), back-to-back
    when behind. Any connection failure degrades the replica to
@@ -583,24 +575,23 @@ let follow_loop server (replica : Replica.t) (leader : Unix.sockaddr)
   let warned = ref false in
   let backoff = ref 0.05 in
   while not (Atomic.get server.stop) do
-    match connect_leader leader with
-    | None ->
+    match Client.connect ~retries:0 leader with
+    | Result.Error _ ->
       if not !warned then (
         Fmt.epr "fds: leader %s unreachable; serving reads only@." description;
         warned := true);
       Replica.set_degraded replica true;
       sleep_poll server !backoff;
       backoff := Stdlib.min 0.5 (!backoff *. 2.)
-    | Some fd ->
-      let ic = Unix.in_channel_of_descr fd in
-      let oc = Unix.out_channel_of_descr fd in
+    | Ok client ->
       (try
          let streaming = ref true in
          while !streaming && not (Atomic.get server.stop) do
-           Protocol.write_frame oc
-             (Protocol.fetch_request ~id:(Json.Num 0.)
-                ~from:(Replica.applied replica) ~epoch:(Replica.epoch replica));
-           match Protocol.read_frame ic with
+           match
+             Client.rpc client
+               (Protocol.fetch_request ~id:(Json.Num 0.)
+                  ~from:(Replica.applied replica) ~epoch:(Replica.epoch replica))
+           with
            | None -> streaming := false
            | Some payload ->
              (match Protocol.fetched_of_response ~schema payload with
@@ -637,8 +628,8 @@ let follow_loop server (replica : Replica.t) (leader : Unix.sockaddr)
                        sleep_poll server 0.2)))
          done
        with
-       | End_of_file | Sys_error _ | Error.Error _ -> ());
-      close_out_noerr oc
+       | Sys_error _ | Error.Error _ -> ());
+      Client.close client
   done
 
 (* ------------------------------------------------------------------ *)
@@ -723,9 +714,9 @@ let serve ?(workers = 0) ?spec ?(config = Config.default)
      nothing answers on it any more, reclaim the address *)
   (match listen with
    | `Unix path when Sys.file_exists path ->
-     (match connect_leader addr with
-      | Some fd -> Unix.close fd (* a live server owns it: bind will say so *)
-      | None -> (try Unix.unlink path with Unix.Unix_error _ -> ()))
+     (match Client.connect addr with
+      | Ok c -> Client.close c (* a live server owns it: bind will say so *)
+      | Result.Error _ -> (try Unix.unlink path with Unix.Unix_error _ -> ()))
    | _ -> ());
   let sock = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
   Unix.setsockopt sock Unix.SO_REUSEADDR true;

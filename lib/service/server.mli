@@ -10,6 +10,7 @@ open Fdbs_kernel
 
 type listen = [ `Unix of string | `Tcp of string * int ]
 
+val address : listen -> Unix.sockaddr
 val describe : listen -> string
 
 type stats = {

@@ -2,8 +2,8 @@
    shared across session calls, transaction isolation between sessions
    over one store, serializable concurrent commits (two client domains
    against one store, checked against both serial reference orders),
-   structured budget errors that leave the store alive, and the wire
-   protocol's framing and dispatch. *)
+   structured budget errors that leave the store alive, the wire
+   protocol's framing and dispatch, and the client. *)
 
 open Fdbs_kernel
 open Fdbs_rpr
@@ -169,24 +169,33 @@ let test_budget_error () =
 
 (* --- wire protocol: framing, dispatch, shutdown --- *)
 
+(* Every frame [Protocol.Reader] parses from [rfd] up to its end, which
+   it then closes; raises what the reader raises. *)
+let frames_of_fd rfd =
+  let r = Protocol.Reader.create rfd in
+  let rec go acc =
+    match Protocol.Reader.next r ~block:true with
+    | `Frame p -> go (p :: acc)
+    | `Eof | `Pending -> List.rev acc
+  in
+  Fun.protect ~finally:(fun () -> Unix.close rfd) (fun () -> go [])
+
+(* The read end of a pipe holding [bytes], then EOF. *)
+let pipe_of_string (bytes : string) =
+  let rfd, wfd = Unix.pipe () in
+  ignore (Unix.write_substring wfd bytes 0 (String.length bytes));
+  Unix.close wfd;
+  rfd
+
+let read_all_from_string bytes = frames_of_fd (pipe_of_string bytes)
+
+(* Frames written with [Protocol.output_frame], read back by the reader. *)
 let roundtrip_frames payloads =
-  let path = Filename.temp_file "fds_proto" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      List.iter (Protocol.write_frame oc) payloads;
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match Protocol.read_frame ic with
-            | Some p -> go (p :: acc)
-            | None -> List.rev acc
-          in
-          go []))
+  let rfd, wfd = Unix.pipe () in
+  let oc = Unix.out_channel_of_descr wfd in
+  List.iter (Protocol.output_frame oc) payloads;
+  close_out oc;
+  frames_of_fd rfd
 
 let test_protocol_frames () =
   let payloads = [ "{\"op\": \"ping\"}"; "{}"; String.make 300 'x' ] in
@@ -541,25 +550,6 @@ let replication_converges =
 (* gateway: framing edge cases, batch, admission, tenancy              *)
 (* ------------------------------------------------------------------ *)
 
-let read_all_from_string (s : string) =
-  let path = Filename.temp_file "fds_frames" ".bin" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      let oc = open_out_bin path in
-      output_string oc s;
-      close_out oc;
-      let ic = open_in_bin path in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match Protocol.read_frame ic with
-            | Some p -> go (p :: acc)
-            | None -> List.rev acc
-          in
-          go []))
-
 (* the blank-header regression: stray newlines between frames used to
    read as end-of-stream and silently drop the rest of the pipeline *)
 let test_blank_header_skipped () =
@@ -610,6 +600,171 @@ let test_reader_pipelines () =
    | `Eof -> ()
    | _ -> Alcotest.fail "expected a clean EOF");
   Unix.close rfd
+
+(* What the reader makes of [bytes] followed by EOF, one step at a time:
+   each frame, then "<eof>" or the structured error that stopped it. *)
+let reader_steps (bytes : string) =
+  let rfd = pipe_of_string bytes in
+  let r = Protocol.Reader.create rfd in
+  let rec go acc =
+    match Protocol.Reader.next r ~block:true with
+    | `Frame p -> go (p :: acc)
+    | `Eof | `Pending -> List.rev ("<eof>" :: acc)
+    | exception Error.Error e -> List.rev (("<error: " ^ e.Error.message ^ ">") :: acc)
+  in
+  Fun.protect ~finally:(fun () -> Unix.close rfd) (fun () -> go [])
+
+(* the EOF regression: non-blank bytes left at EOF without a newline
+   used to read as a clean end of stream *)
+let test_reader_eof_table () =
+  List.iter
+    (fun (tail, want) ->
+      let input = "3\nabc\n" ^ tail in
+      Alcotest.(check (list string)) (Fmt.str "%S" input) ("abc" :: want)
+        (reader_steps input))
+    [
+      ("", [ "<eof>" ]);
+      ("12", [ "<error: truncated frame at end of stream>" ]);
+      ("5\nab", [ "<error: truncated frame at end of stream>" ]);
+      ("  ", [ "<eof>" ]);
+      ("xyz", [ {|<error: bad frame header "xyz": expected a length>|} ]);
+      ("2\nde \n", [ "<error: frame missing trailing newline>" ]);
+    ]
+
+(* Byte streams that look like frames often enough to reach every
+   branch of the parser: whole frames, bare lengths (also negative and
+   oversized), blank lines and arbitrary bytes. *)
+let arbitrary_frame_bytes =
+  let fragment =
+    QCheck.Gen.(
+      oneof
+        [
+          map
+            (fun p -> Fmt.str "%d\n%s\n" (String.length p) p)
+            (string_size (int_range 0 8));
+          map string_of_int (int_range (-3) 20);
+          oneofl [ "16777217"; "99999999999999999999"; "\n"; " "; "\r\n" ];
+          string_size (int_range 0 6);
+        ])
+  in
+  QCheck.make ~print:(Fmt.str "%S")
+    QCheck.Gen.(map (String.concat "") (list_size (int_range 0 8) fragment))
+
+let reader_never_crashes =
+  QCheck.Test.make ~name:"the frame reader ends every byte stream cleanly"
+    ~count:500 arbitrary_frame_bytes (fun bytes ->
+      (* every step consumes input or ends the stream, so a stream of n
+         bytes takes at most n + 1 steps; anything but a structured
+         error escaping fails the property *)
+      List.length (reader_steps bytes) <= String.length bytes + 1)
+
+(* Frames written with [output_frame] and delivered in random-sized
+   chunks: the non-blocking reader sees every partial frame and still
+   yields the payloads in order. *)
+let chunked_frames_roundtrip =
+  QCheck.Test.make ~name:"frames survive random write chunking" ~count:200
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 0 6) (string_of_size Gen.(int_range 0 40)))
+        (list_of_size Gen.(int_range 1 8) (int_range 1 16)))
+    (fun (payloads, cuts) ->
+      let bytes =
+        let rfd, wfd = Unix.pipe () in
+        let oc = Unix.out_channel_of_descr wfd in
+        List.iter (Protocol.output_frame oc) payloads;
+        close_out oc;
+        let ic = Unix.in_channel_of_descr rfd in
+        Fun.protect ~finally:(fun () -> close_in ic) (fun () -> In_channel.input_all ic)
+      in
+      let rfd, wfd = Unix.pipe () in
+      let r = Protocol.Reader.create ~size:8 rfd in
+      let got = ref [] in
+      let rec drain ~block =
+        match Protocol.Reader.next r ~block with
+        | `Frame p ->
+          got := p :: !got;
+          drain ~block
+        | `Eof | `Pending -> ()
+      in
+      let rec deliver pos cuts =
+        if pos < String.length bytes then begin
+          let n = Stdlib.min (List.hd cuts) (String.length bytes - pos) in
+          ignore (Unix.write_substring wfd bytes pos n);
+          drain ~block:false;
+          deliver (pos + n) (List.tl cuts @ [ List.hd cuts ])
+        end
+      in
+      deliver 0 cuts;
+      Unix.close wfd;
+      drain ~block:true;
+      Unix.close rfd;
+      List.rev !got = payloads)
+
+(* Request decoding is total: JSON-ish fragments and arbitrary bytes
+   come back as [Ok] or [Error], never as an exception. *)
+let request_parsing_total =
+  let fragment =
+    QCheck.Gen.(
+      oneof
+        [
+          oneofl
+            [ "{"; "}"; "["; "]"; ":"; ","; {|"id"|}; {|"op"|}; {|"ping"|};
+              {|"calls"|}; "1"; "-0.5e3"; "null"; "true"; {|"é"|}; {|"\"|} ];
+          string_size (int_range 0 4);
+        ])
+  in
+  QCheck.Test.make ~name:"request decoding never raises" ~count:500
+    (QCheck.make ~print:(Fmt.str "%S")
+       QCheck.Gen.(map (String.concat "") (list_size (int_range 0 12) fragment)))
+    (fun src ->
+      match Protocol.request_of_string src with Ok _ | Error _ -> true)
+
+(* --- the client: retry, rpc, end of stream --- *)
+
+module Client = Fdbs_service.Client
+module Server = Fdbs_service.Server
+
+let temp_sock name =
+  let path = Filename.temp_file ("fds_" ^ name) ".sock" in
+  Sys.remove path;
+  path
+
+let test_client_missing_socket () =
+  match Client.connect ~retries:0 (Unix.ADDR_UNIX (temp_sock "missing")) with
+  | Ok _ -> Alcotest.fail "nothing listens on a missing socket"
+  | Error e ->
+    Alcotest.(check string) "structured io error" "io-failure"
+      (Error.code_name e.Error.code);
+    Alcotest.(check bool) "names the reason" true
+      (has_prefix ~affix:"cannot connect: " e.Error.message)
+
+(* A server that binds only after the client's first attempt failed: the
+   retrying connect reaches it, a ping round-trips, and the connection
+   ends after the shutdown reply. *)
+let test_client_retry_rpc_eof () =
+  let sock = temp_sock "client" in
+  let addr = Unix.ADDR_UNIX sock in
+  let server =
+    Stdlib.Domain.spawn (fun () ->
+        Unix.sleepf 0.3;
+        Server.serve ~workers:1 (`Unix sock) schema)
+  in
+  (match Client.connect ~retries:0 addr with
+   | Ok _ -> Alcotest.fail "the server is not up yet"
+   | Error _ -> ());
+  (match Client.connect ~retries:8 addr with
+   | Error e -> Alcotest.failf "retrying connect: %s" (Error.to_string e)
+   | Ok c ->
+     Alcotest.(check (option string))
+       "rpc round-trips a ping" (Some {|{"id": 1, "ok": true, "result": "pong"}|})
+       (Client.rpc c {|{"id": 1, "op": "ping"}|});
+     Alcotest.(check bool) "shutdown is answered" true
+       (Option.is_some (Client.rpc c {|{"id": 2, "op": "shutdown"}|}));
+     Alcotest.(check (option string)) "then the stream ends" None (Client.recv c);
+     Client.close c);
+  match Stdlib.Domain.join server with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "serve: %s" (Error.to_string e)
 
 (* the id-echo regression: malformed requests used to answer id: null
    even when the JSON parsed enough to carry the id *)
@@ -888,6 +1043,12 @@ let suite =
       test_missing_trailing_newline;
     Alcotest.test_case "framing: the reader drains pipelines" `Quick
       test_reader_pipelines;
+    Alcotest.test_case "framing: only blank bytes may end a stream" `Quick
+      test_reader_eof_table;
+    Alcotest.test_case "client: a missing socket is a structured error" `Quick
+      test_client_missing_socket;
+    Alcotest.test_case "client: retry, rpc, end of stream after shutdown"
+      `Quick test_client_retry_rpc_eof;
     Alcotest.test_case "protocol: error replies echo the request id" `Quick
       test_error_id_echo;
     Alcotest.test_case "protocol: batch dispatch" `Quick test_batch_dispatch;
@@ -905,5 +1066,8 @@ let suite =
         concurrent_commits_serializable;
         replication_converges;
         batch_frames_roundtrip;
+        reader_never_crashes;
+        chunked_frames_roundtrip;
+        request_parsing_total;
         streamed_encoding_matches_tree;
       ]
