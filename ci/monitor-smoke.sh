@@ -127,7 +127,14 @@ for i in $(seq 1 100); do test -S mon.sock && break; sleep 0.1; done
 $fds client --socket mon.sock --retries 10 \
   '{"id": 0, "op": "run", "calls": ["initiate()"]}' >/dev/null
 mon_ns=$(drive mon.sock)
-$fds client --socket mon.sock '{"id": 1, "op": "shutdown"}' >/dev/null
+# the monitors ran incrementally: their warm commits advanced the
+# materializations in the planner's table, none fell back or resynced
+out=$($fds client --socket mon.sock '{"id": 1, "op": "stats"}')
+echo "$out" | grep -Eo '"(planner\.delta_[a-z]+|monitor\.resync)": [0-9]+'
+echo "$out" | grep -Eq '"planner\.delta_fallback": 0[,}]'
+echo "$out" | grep -Eq '"monitor\.resync": 0[,}]'
+echo "$out" | grep -Eq '"planner\.delta_hit": [1-9]'
+$fds client --socket mon.sock '{"id": 2, "op": "shutdown"}' >/dev/null
 wait "$mon"
 
 ratio=$(awk "BEGIN { printf \"%.4f\", $mon_ns / $plain_ns }")

@@ -8,9 +8,10 @@
     a literal time point, and hand the result to the {!Planner}. A
     two-state monitor database plays the one-step universe of each
     commit; consecutive monitor databases differ by the previous
-    commit's delta at time 0 plus the current one at time 1, which is
-    what lets {!Delta.advance} carry materializations across commits
-    instead of re-evaluating plans. *)
+    commit's delta at time 0 plus the current one at time 1. That
+    tagged delta goes to {!Planner.holds_delta}, whose materialization
+    table -- the same one constraint checks use -- carries each
+    axiom's plan across commits instead of re-evaluating it. *)
 
 open Fdbs_kernel
 open Fdbs_logic
@@ -37,7 +38,6 @@ type t = {
   mschema : Schema.t;
   consts : (string * Value.t) list;
   mons : compiled list;
-  plans : (string * Relalg.expr) list;  (** per-axiom compiled plans *)
   skipped : (string * string) list;
   max_depth : int;
   mdomain_times : Domain.t;  (** the time carrier, unioned per check *)
@@ -46,15 +46,11 @@ type t = {
   mutable window : Db.t list;  (** recent states, newest first *)
   mutable mdb : Db.t option;  (** two-state db of the last published commit *)
   mutable prev_delta : Delta.t option;
-  mutable mats : (string * Delta.node) list;
   mutable total_violations : int;
 }
 
 let c_checks = Metrics.counter "monitor.checks"
 let c_violations = Metrics.counter "monitor.violations"
-let c_hits = Metrics.counter "monitor.delta_hit"
-let c_misses = Metrics.counter "monitor.delta_miss"
-let c_fallback = Metrics.counter "monitor.delta_fallback"
 let c_resync = Metrics.counter "monitor.resync"
 let h_step_us = Metrics.histogram "monitor.step_us"
 
@@ -95,7 +91,8 @@ let rec used_preds (f : Tformula.t) : string list =
 (* The monitor schema: every relation widened with a trailing [time]
    column, plus the accessibility relation. Its name (hence
    fingerprint) differs from the base schema's, so monitor plans can
-   never collide with ordinary constraint plans in the shared cache. *)
+   never collide with ordinary constraint plans or materializations in
+   the planner's shared tables. *)
 let monitor_schema (schema : Schema.t) (tconsts : (string * Sort.t) list) :
     Schema.t =
   {
@@ -186,9 +183,9 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
       }
     in
     let msig = Timesort.extend_signature rsig in
-    let mons, plans, skipped =
+    let mons, skipped =
       List.fold_left
-        (fun (mons, plans, skipped) (ax : Ttheory.axiom) ->
+        (fun (mons, skipped) (ax : Ttheory.axiom) ->
           let name = ax.Ttheory.ax_name in
           let tf = rename_preds ren ax.Ttheory.ax_formula in
           let shared_used =
@@ -199,7 +196,6 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
           in
           if shared_used <> [] then
             ( mons,
-              plans,
               (name,
                Fmt.str "mentions shared predicate%s %s (no relation to monitor)"
                  (if List.length shared_used > 1 then "s" else "")
@@ -218,22 +214,18 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
                 (Term.Subst.of_list [ (now_var, Term.Lit (Value.Int at)) ])
                 f
             in
-            let plan = Planner.plan_wff mschema f in
             let m =
               {
                 m_name = name;
                 m_kind = kind;
                 m_depth = depth;
                 m_wff = f;
-                m_compiled = plan <> None;
+                m_compiled = Planner.plan_wff mschema f <> None;
                 m_violations = 0;
               }
             in
-            let plans =
-              match plan with Some e -> (name, e) :: plans | None -> plans
-            in
-            (m :: mons, plans, skipped))
-        ([], [], []) theory.Ttheory.axioms
+            (m :: mons, skipped))
+        ([], []) theory.Ttheory.axioms
     in
     let mons = List.rev mons in
     let max_depth =
@@ -246,7 +238,6 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
         mschema;
         consts = eval_consts;
         mons;
-        plans = List.rev plans;
         skipped = List.rev skipped;
         max_depth;
         mdomain_times =
@@ -258,7 +249,6 @@ let compile ?(consts = []) ~(schema : Schema.t) (theory : Ttheory.t) :
         window = [];
         mdb = None;
         prev_delta = None;
-        mats = [];
         total_violations = 0;
       }
 
@@ -344,20 +334,12 @@ let monitor_delta ~(prev : Delta.t) ~(cur : Delta.t) : Delta.t =
     scalars_changed = false;
   }
 
-let take n l =
-  let rec go acc n = function
-    | x :: rest when n > 0 -> go (x :: acc) (n - 1) rest
-    | _ -> List.rev acc
-  in
-  go [] n l
-
 let attach t db =
   Mutex.protect t.lock (fun () ->
       t.commits <- 0;
       t.window <- [ db ];
       t.mdb <- None;
-      t.prev_delta <- None;
-      t.mats <- [])
+      t.prev_delta <- None)
 
 let error_of_event (ev : event) : Error.t =
   Error.makef
@@ -384,67 +366,41 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
   in
   if (not in_sync) && t.window <> [] then Metrics.incr c_resync;
   let k = if in_sync then t.commits + 1 else 1 in
-  let window' = take (t.max_depth + 1) (after :: (if in_sync then t.window else [ before ])) in
+  let window' = Util.take (t.max_depth + 1) (after :: (if in_sync then t.window else [ before ])) in
   let delta = Delta.of_dbs ~before ~after in
-  (* The two-state database of this commit: advanced by the tagged
-     delta when we have last commit's, rebuilt otherwise. *)
-  let mdelta =
+  (* The two-state database of this commit and the planner's view of
+     how it got there: advanced from last commit's by the tagged delta
+     when we have it; otherwise rebuilt and passed as its own [before]
+     with the empty delta -- a fresh value no published
+     materialization can match, so the planner rebuilds from it. *)
+  let mbefore, mdelta, mdb' =
     match (in_sync, t.mdb, t.prev_delta) with
-    | true, Some _, Some prev -> Some (monitor_delta ~prev ~cur:delta)
-    | _ -> None
-  in
-  let mdb' =
-    match (mdelta, t.mdb) with
-    | Some md, Some m -> Delta.apply md m
-    | _ -> window_db t [ before; after ]
-  in
-  let eval_shallow (m : compiled) :
-      bool * (string * Delta.node) option =
-    match List.assoc_opt m.m_name t.plans with
-    | None ->
-      (* outside the safe fragment: naive evaluation every commit *)
-      Metrics.incr c_fallback;
-      (Relcalc.holds ~domain:mdomain ~consts:t.consts mdb' m.m_wff, None)
-    | Some plan -> (
-      let rebuild counter =
-        Metrics.incr counter;
-        let node = Delta.materialize ~domain:mdomain ~consts:t.consts mdb' plan in
-        (not (Relation.is_empty node.Delta.out), Some (m.m_name, node))
-      in
-      match (mdelta, List.assoc_opt m.m_name t.mats) with
-      | Some md, Some node -> (
-        match
-          Delta.advance ~domain:mdomain ~consts:t.consts ~after:mdb' md plan node
-        with
-        | node', _ins, _del ->
-          Metrics.incr c_hits;
-          (not (Relation.is_empty node'.Delta.out), Some (m.m_name, node'))
-        | exception Delta.Not_incremental -> rebuild c_fallback)
-      | _ -> rebuild c_misses)
+    | true, Some m, Some prev ->
+      let md = monitor_delta ~prev ~cur:delta in
+      (m, md, Delta.apply md m)
+    | _ ->
+      let m = window_db t [ before; after ] in
+      (m, Delta.empty, m)
   in
   (* Depth ≥ 2 monitors re-evaluate over their sliding window; the
      verdict about state [k - d] exists once the window is full. *)
   let eval_deep (m : compiled) : bool =
-    let states = List.rev (take (m.m_depth + 1) window') in
-    let wdb = window_db t states in
-    match List.assoc_opt m.m_name t.plans with
-    | Some plan ->
-      Metrics.incr c_misses;
-      not (Relation.is_empty (Relalg.eval ~domain:mdomain ~consts:t.consts wdb plan))
-    | None ->
-      Metrics.incr c_fallback;
-      Relcalc.holds ~domain:mdomain ~consts:t.consts wdb m.m_wff
+    let wdb = window_db t (List.rev (Util.take (m.m_depth + 1) window')) in
+    Planner.holds ~schema:t.mschema ~domain:mdomain ~consts:t.consts wdb m.m_wff
   in
   let events = ref [] in
   let violated = ref [] in
-  let mats' = ref [] in
+  let publishes = ref [] in
   List.iter
     (fun (m : compiled) ->
       Metrics.incr c_checks;
       let verdict =
         if m.m_depth <= 1 then (
-          let v, mat = eval_shallow m in
-          (match mat with Some nm -> mats' := nm :: !mats' | None -> ());
+          let v, publish =
+            Planner.holds_delta ~schema:t.mschema ~domain:mdomain ~consts:t.consts
+              ~before:mbefore ~delta:mdelta mdb' m.m_wff
+          in
+          publishes := publish :: !publishes;
           Some v)
         else if k >= m.m_depth then Some (eval_deep m)
         else None  (* window not yet full: no verdict about any state *)
@@ -460,7 +416,7 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
     t.mons;
   let events = List.rev !events in
   let violated = !violated in
-  let mats' = List.rev !mats' in
+  let publishes = !publishes in
   Metrics.observe_us h_step_us (Mclock.now_us () -. t0);
   let publish () =
     Mutex.protect t.lock (fun () ->
@@ -468,7 +424,7 @@ let check (t : t) ~domain ~(before : Db.t) ~(after : Db.t) :
         t.window <- window';
         t.mdb <- Some mdb';
         t.prev_delta <- Some delta;
-        t.mats <- mats';
+        List.iter (fun p -> p ()) publishes;
         t.total_violations <- t.total_violations + List.length events;
         List.iter (fun m -> m.m_violations <- m.m_violations + 1) violated;
         Metrics.add c_violations (List.length events))

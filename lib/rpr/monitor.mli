@@ -14,11 +14,15 @@
     [widen(before, 0) ∪ widen(after, 1)] with [accessible = {(0,1)}].
     The translated wff is closed by fixing the free time variable [now]
     to a literal time point, so the {!Planner} compiles it into a plan
-    like any other constraint — and the {!Delta} rules advance a
-    materialization of that plan from commit to commit: the monitor
-    database's delta between consecutive commits is exactly the
-    previous commit's delta tagged with time 0 plus the current one
-    tagged with time 1 (because [before'] = [after]).
+    like any other constraint. Each depth ≤ 1 verdict goes through
+    {!Planner.holds_delta}: the materialization of the axiom's plan
+    lives in the planner's table (the one constraint checks use, keyed
+    by the monitor schema) and advances through the {!Delta} rules
+    from commit to commit. The monitor database's delta between
+    consecutive commits is exactly the previous commit's delta tagged
+    with time 0 plus the current one tagged with time 1 (because
+    [before'] = [after]). Hits, misses and fallbacks count under
+    [planner.delta_*].
 
     Verdict timing follows modal depth. A static axiom (depth 0) is
     checked on the post-commit state; a one-step transition axiom
@@ -26,7 +30,8 @@
     as its successor exists; an axiom of depth d nests d commits deep,
     so its verdict about state [k - d] is only emitted at commit [k] —
     such monitors keep a sliding window of the last [d + 1] states and
-    re-evaluate their (still compiled) plan over it.
+    re-evaluate their (still compiled) plan over it through
+    {!Planner.holds}.
 
     Monitors follow the transactional publish discipline: {!check}
     computes prospective verdicts without mutating anything and returns

@@ -46,7 +46,6 @@ type mat = {
       (* [None] marks a wff outside the safe fragment: nothing to
          materialize, every commit re-evaluates naively (the
          non-incremental analogue of a cached [Not_compilable]) *)
-  m_verdict : bool;
 }
 
 let mat_table : (int, mat list) Hashtbl.t = Hashtbl.create 64
@@ -282,10 +281,16 @@ let mat_publish key (m : mat) =
     rolled-back transaction leaves the cache reflecting the committed
     state it last published, never the discarded one.
 
+    The two callers are schema constraints ([Semantics.query_delta]) and
+    {!Monitor}, which checks each depth ≤ 1 temporal axiom as a wff
+    over its two-state monitor database (own schema, hence own keys)
+    and fires these thunks from its own publish thunk.
+
     [shared:false] (ad-hoc constraints, e.g. [Txn] extras) bypasses the
     shared per-schema materialization cache entirely — same verdict,
     no reads from or writes to the cache. [`Naive] strategy, and
-    {!set_materialization}[ false], likewise evaluate directly. *)
+    {!set_materialization}[ false] (constraints and monitors alike),
+    likewise evaluate directly. *)
 let holds_delta ?(strategy = `Auto) ~(schema : Schema.t) ~domain ?consts
     ~(before : Db.t) ~(delta : Delta.t) ?(shared = true) (after : Db.t)
     (f : Formula.t) : bool * (unit -> unit) =
@@ -297,10 +302,8 @@ let holds_delta ?(strategy = `Auto) ~(schema : Schema.t) ~domain ?consts
     direct ()
   | (`Auto | `Compiled) as strategy -> begin
     let key = wff_key schema f in
-    let publish node verdict () =
-      mat_publish key
-        { m_schema = schema; m_wff = f; m_state = after; m_node = node;
-          m_verdict = verdict }
+    let publish node () =
+      mat_publish key { m_schema = schema; m_wff = f; m_state = after; m_node = node }
     in
     match plan_wff schema f with
     | None ->
@@ -311,13 +314,13 @@ let holds_delta ?(strategy = `Auto) ~(schema : Schema.t) ~domain ?consts
       else begin
         Metrics.incr c_delta_fallback;
         let v = Relcalc.holds ~domain ?consts after f in
-        (v, publish None v)
+        (v, publish None)
       end
     | Some plan ->
       let rebuild () =
         let node = Delta.materialize ~domain ?consts after plan in
         let v = not (Relation.is_empty node.Delta.out) in
-        (v, publish (Some node) v)
+        (v, publish (Some node))
       in
       match mat_find key schema f with
       | Some { m_state; m_node = Some node; _ } when m_state == before -> begin
@@ -333,7 +336,7 @@ let holds_delta ?(strategy = `Auto) ~(schema : Schema.t) ~domain ?consts
         | node', _ins, _del ->
           Metrics.incr c_delta_hits;
           let v = not (Relation.is_empty node'.Delta.out) in
-          (v, publish (Some node') v)
+          (v, publish (Some node'))
         | exception Delta.Not_incremental ->
           Metrics.incr c_delta_fallback;
           rebuild ()

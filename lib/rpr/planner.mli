@@ -57,7 +57,13 @@ val holds :
     Returns the verdict and a publish thunk; the cache is only updated
     when the thunk runs — call it after the surrounding commit
     succeeded, never on rollback. [shared:false] (ad-hoc constraints)
-    bypasses the shared cache entirely. *)
+    bypasses the shared cache entirely.
+
+    Callers are schema constraint checks and {!Monitor.check}, which
+    passes each depth ≤ 1 axiom's wff over the two-state monitor
+    database with the time-tagged monitor delta (or, on a first commit
+    or resync, the freshly rebuilt database as its own [before] with
+    {!Delta.empty}, which never matches a published entry). *)
 val holds_delta :
   ?strategy:[ `Naive | `Compiled | `Auto ] ->
   schema:Schema.t ->
@@ -71,7 +77,8 @@ val holds_delta :
   bool * (unit -> unit)
 
 (** Toggle differential maintenance process-wide (on by default);
-    when off, {!holds_delta} evaluates directly like {!holds}. *)
+    when off, {!holds_delta} evaluates directly like {!holds} — for
+    constraint checks and {!Monitor} verdicts alike. *)
 val set_materialization : bool -> unit
 
 val materialization_active : unit -> bool

@@ -2,8 +2,9 @@
    commit sequence equals the offline Kripke check on the replayed
    universe (QCheck); static, one-step and nested axioms fire at the
    right states; axioms a monitor cannot host are reported, never
-   silently dropped; and a monitor that lost sync with the commit
-   stream resynchronizes instead of reporting nonsense. *)
+   silently dropped; a monitor that lost sync with the commit stream
+   resynchronizes instead of reporting nonsense; and in-sync commits
+   advance the planner's materializations instead of rebuilding. *)
 
 open Fdbs_kernel
 open Fdbs_temporal
@@ -135,6 +136,52 @@ let test_resync_after_missed_commit () =
   let events = Monitor.advance m ~domain ~before:s1 ~after:s2 in
   Alcotest.(check int) "clean transition" 0 (List.length events)
 
+(* The resync must rebuild against the unseen commit's own pre-state:
+   the monitor's previous two-state database is warm in the planner's
+   table, and advancing it by an empty delta would re-report the old
+   (clean) verdict. *)
+let test_resync_after_warm_commit () =
+  let m = compile_exn () in
+  let s0 = db_of [ v "cs101" ] [] in
+  Monitor.attach m s0;
+  let s1 = db_of [ v "cs101" ] [ (v "ana", v "cs101") ] in
+  let events = Monitor.advance m ~domain ~before:s0 ~after:s1 in
+  Alcotest.(check int) "clean commit" 0 (List.length events);
+  (* a commit the monitor never saw, enrolling into an unoffered course *)
+  let s2 = db_of [ v "cs101" ] [] in
+  let s3 = db_of [ v "cs101" ] [ (v "bob", v "cs102") ] in
+  let events = Monitor.advance m ~domain ~before:s2 ~after:s3 in
+  Alcotest.(check (list (pair string int)))
+    "ghost fires at the resynced state" [ ("ghost", 1) ]
+    (List.map (fun e -> (e.Monitor.ev_axiom, e.Monitor.ev_state)) events)
+
+(* Depth ≤ 1 verdicts are maintained in the planner's materialization
+   table: the first commit materializes each compiled axiom (a miss),
+   every later in-sync commit advances it (a hit). *)
+let test_monitors_are_incremental () =
+  Planner.clear ();
+  let m = compile_exn () in
+  let shallow =
+    List.length
+      (List.filter
+         (fun (c : Monitor.compiled) -> c.Monitor.m_depth <= 1 && c.Monitor.m_compiled)
+         (Monitor.monitors m))
+  in
+  Alcotest.(check int) "compiled depth <= 1 axioms" 2 shallow;
+  let s0 = db_of [ v "cs101" ] [] in
+  let s1 = db_of [ v "cs101" ] [ (v "ana", v "cs101") ] in
+  let s2 = db_of [ v "cs101"; v "cs102" ] [ (v "ana", v "cs101") ] in
+  let s3 = db_of [ v "cs101"; v "cs102" ] [ (v "bob", v "cs102") ] in
+  Monitor.attach m s0;
+  let counts = Alcotest.(triple int int int) in
+  ignore (Monitor.advance m ~domain ~before:s0 ~after:s1);
+  Alcotest.(check counts) "(hit, fallback, miss) after the first commit"
+    (0, 0, shallow) (Planner.delta_stats ());
+  ignore (Monitor.advance m ~domain ~before:s1 ~after:s2);
+  ignore (Monitor.advance m ~domain ~before:s2 ~after:s3);
+  Alcotest.(check counts) "(hit, fallback, miss) after two in-sync commits"
+    (2 * shallow, 0, shallow) (Planner.delta_stats ())
+
 let test_skipped_axioms_reported () =
   let src =
     {|
@@ -255,44 +302,56 @@ let offline_failures (states : Db.t list) =
       (r.Check.axiom, List.filter keep r.Check.failures))
     (Check.check_axioms u axioms)
 
-let monitor_failures (states : Db.t list) =
-  let m = compile_exn () in
-  (match states with
-  | s0 :: _ -> Monitor.attach m s0
-  | [] -> ());
-  let rec go events = function
-    | before :: (after :: _ as rest) ->
-      let es = Monitor.advance m ~domain ~before ~after in
-      go (events @ es) rest
-    | _ -> events
+(* One monitor per history, all of the same theory, their commits
+   interleaved round-robin: they share the planner's materialization
+   table, which must never serve one monitor's state to another. *)
+let monitor_failures (histories : Db.t list list) =
+  let runs =
+    List.map
+      (fun states ->
+        let m = compile_exn () in
+        Monitor.attach m (List.hd states);
+        (m, ref states, ref []))
+      histories
   in
-  let events = go [] states in
+  let step (m, rest, events) =
+    match !rest with
+    | before :: (after :: _ as tl) ->
+      events := !events @ Monitor.advance m ~domain ~before ~after;
+      rest := tl;
+      true
+    | _ -> false
+  in
+  let rec loop () = if List.fold_left (fun acc r -> step r || acc) false runs then loop () in
+  loop ();
   List.map
-    (fun ax ->
-      ( ax.Ttheory.ax_name,
-        List.filter_map
-          (fun (e : Monitor.event) ->
-            if e.Monitor.ev_axiom = ax.Ttheory.ax_name then Some e.Monitor.ev_state
-            else None)
-          events
-        |> List.sort_uniq compare ))
-    theory.Ttheory.axioms
+    (fun (_, _, events) ->
+      List.map
+        (fun ax ->
+          ( ax.Ttheory.ax_name,
+            List.filter_map
+              (fun (e : Monitor.event) ->
+                if e.Monitor.ev_axiom = ax.Ttheory.ax_name then Some e.Monitor.ev_state
+                else None)
+              !events
+            |> List.sort_uniq compare ))
+        theory.Ttheory.axioms)
+    runs
+
+let states_of flips =
+  List.rev
+    (List.fold_left (fun acc f -> apply_flip (List.hd acc) f :: acc) [ db_of [] [] ] flips)
 
 let prop_incremental_equals_offline =
   QCheck.Test.make ~name:"incremental monitor = offline Check.check_axioms"
-    ~count:200 arbitrary_history (fun flips ->
-      let states =
-        List.rev
-          (List.fold_left
-             (fun acc f -> apply_flip (List.hd acc) f :: acc)
-             [ db_of [] [] ] flips)
-      in
-      let off = offline_failures states in
-      let inc = monitor_failures states in
-      List.for_all
-        (fun (name, fails) ->
-          List.sort_uniq compare fails = List.assoc name inc)
-        off)
+    ~count:200 (QCheck.pair arbitrary_history arbitrary_history) (fun (fa, fb) ->
+      let histories = [ states_of fa; states_of fb ] in
+      List.for_all2
+        (fun states inc ->
+          List.for_all
+            (fun (name, fails) -> List.sort_uniq compare fails = List.assoc name inc)
+            (offline_failures states))
+        histories (monitor_failures histories))
 
 let suite =
   [
@@ -303,6 +362,9 @@ let suite =
     Alcotest.test_case "unpublished check has no effect" `Quick
       test_unpublished_check_has_no_effect;
     Alcotest.test_case "resync after a missed commit" `Quick test_resync_after_missed_commit;
+    Alcotest.test_case "resync after a warm commit" `Quick test_resync_after_warm_commit;
+    Alcotest.test_case "monitors advance through planner delta rules" `Quick
+      test_monitors_are_incremental;
     Alcotest.test_case "non-monitorable axioms are reported" `Quick
       test_skipped_axioms_reported;
     Alcotest.test_case "missing homonym relation is an error" `Quick
