@@ -1,13 +1,13 @@
-(* The benchmark harness: one Bechamel test group per experiment of
-   DESIGN.md's experiment index (E1-E12). The paper (PODS 1984) contains
-   no quantitative tables or figures — it is a conceptual framework
-   paper — so the experiments measure every checker and evaluator the
-   framework comprises, on the paper's own example and controlled
-   sweeps, and EXPERIMENTS.md records the expected shapes (who wins, how
-   costs scale) against these measurements. *)
+(* The benchmark harness: one table per experiment of DESIGN.md's
+   experiment index (E1-E27). The paper (PODS 1984) contains no
+   quantitative tables or figures — it is a conceptual framework paper —
+   so the experiments measure every checker and evaluator the framework
+   comprises, on the paper's own example and controlled sweeps, and
+   EXPERIMENTS.md records the expected shapes (who wins, how costs
+   scale) against these measurements. Every time, in the printed tables
+   and in the --json report the CI gate reads, comes from the one
+   [time_ns] loop below. *)
 
-open Bechamel
-open Toolkit
 open Fdbs_kernel
 open Fdbs_logic
 open Fdbs_temporal
@@ -20,42 +20,47 @@ open Fdbs
 let v s = Value.Sym s
 
 (* ------------------------------------------------------------------ *)
-(* Harness: run a test group, print a table of ns/run                  *)
+(* Harness: one timing loop, one table printer                         *)
 (* ------------------------------------------------------------------ *)
 
-let cfg =
-  Benchmark.cfg ~limit:300 ~quota:(Time.second 0.25) ~stabilize:false ~kde:None ()
+(* Monotonic, immune to wall-clock adjustments mid-measurement. *)
+let now_ns () = Mclock.now () *. 1e9
 
-let instances = Instance.[ monotonic_clock ]
-
-let measure (test : Test.t) : (string * float) list =
-  let raw = Benchmark.all cfg instances test in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
+(* ns per call of [f]: repeat in doubling batches (after one warm-up
+   call) until the batch runs at least [min_time_ns]. Every result goes
+   through [Sys.opaque_identity], so no call is optimized away. *)
+let time_ns ?(min_time_ns = 5e7) (f : unit -> 'a) : float =
+  ignore (Sys.opaque_identity (f ()));
+  let rec go reps =
+    let t0 = now_ns () in
+    for _ = 1 to reps do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let dt = now_ns () -. t0 in
+    if dt >= min_time_ns || reps >= 1 lsl 24 then dt /. float_of_int reps
+    else go (reps * 2)
   in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  Hashtbl.fold
-    (fun name ols acc ->
-      match Analyze.OLS.estimates ols with
-      | Some (t :: _) -> (name, t) :: acc
-      | Some [] | None -> (name, nan) :: acc)
-    results []
-  |> List.sort compare
+  go 1
 
 let pp_time ppf ns =
-  if Float.is_nan ns then Fmt.string ppf "n/a"
-  else if ns < 1e3 then Fmt.pf ppf "%8.1f ns" ns
+  if ns < 1e3 then Fmt.pf ppf "%8.1f ns" ns
   else if ns < 1e6 then Fmt.pf ppf "%8.2f us" (ns /. 1e3)
   else if ns < 1e9 then Fmt.pf ppf "%8.2f ms" (ns /. 1e6)
   else Fmt.pf ppf "%8.2f s " (ns /. 1e9)
 
-let report ~id ~title ~(notes : string) (test : Test.t) =
+(* A table cell renders its value on demand: [time f] measures [f] when
+   its row is printed, so rows run in table order; the other cells hold
+   figures already measured. *)
+let ns x () = Fmt.str "%a" pp_time x
+let time f () = ns (time_ns f) ()
+let ratio x () = Fmt.str "%8.2fx" x
+let count unit x () = Fmt.str "%8.0f %s" x unit
+
+let report ~id ~title ~notes rows =
   Fmt.pr "@.%s: %s@." id title;
   Fmt.pr "%s@." (String.make (String.length id + String.length title + 2) '-');
-  List.iter
-    (fun (name, ns) -> Fmt.pr "  %-42s %a@." name pp_time ns)
-    (measure test);
-  if notes <> "" then Fmt.pr "  shape: %s@." notes
+  List.iter (fun (name, cell) -> Fmt.pr "  %-42s %s@." name (cell ())) rows;
+  Fmt.pr "  shape: %s@." notes
 
 (* ------------------------------------------------------------------ *)
 (* Shared fixtures                                                     *)
@@ -123,13 +128,11 @@ let e1 () =
     let states = List.init n mk_state in
     let edges = List.init n (fun i -> (i, (i + 1) mod n)) in
     let u = Universe.make ~states ~edges in
-    Test.make
-      ~name:(Fmt.str "states=%3d" n)
-      (Staged.stage (fun () -> Check.holds_everywhere u axiom1))
+    (Fmt.str "states=%3d" n, time (fun () -> Check.holds_everywhere u axiom1))
   in
   report ~id:"E1" ~title:"Kripke model checking of the static axiom (Sec 3.2)"
     ~notes:"linear in the number of states; each state pays |student|x|course| quantifier work"
-    (Test.make_grouped ~name:"e1-temporal-mc" (List.map point [ 10; 50; 200; 500 ]))
+    (List.map point [ 10; 50; 200; 500 ])
 
 (* ------------------------------------------------------------------ *)
 (* E2: rewriting-based query evaluation vs trace length                *)
@@ -138,16 +141,14 @@ let e1 () =
 let e2 () =
   let point name spec l =
     let trace = trace_of_length l in
-    Test.make
-      ~name:(Fmt.str "%s trace=%3d" name l)
-      (Staged.stage (fun () ->
-           Eval.query_on_trace spec ~q:"takes" ~params:[ v "ana"; v "cs101" ] trace))
+    ( Fmt.str "%s trace=%3d" name l,
+      time (fun () ->
+          Eval.query_on_trace spec ~q:"takes" ~params:[ v "ana"; v "cs101" ] trace) )
   in
   report ~id:"E2" ~title:"conditional rewriting answers a ground query (Sec 4.2)"
     ~notes:"linear in trace length; the larger derived rule set costs a constant factor more per step"
-    (Test.make_grouped ~name:"e2-rewrite-eval"
-       (List.map (point "hand-eqs" uni) [ 2; 8; 32; 128 ]
-       @ List.map (point "derived " University.derived_functions) [ 8; 32 ]))
+    (List.map (point "hand-eqs" uni) [ 2; 8; 32; 128 ]
+    @ List.map (point "derived " University.derived_functions) [ 8; 32 ])
 
 (* ------------------------------------------------------------------ *)
 (* E3: sufficient-completeness checking                                *)
@@ -155,19 +156,16 @@ let e2 () =
 
 let e3 () =
   let point name spec depth =
-    Test.make
-      ~name:(Fmt.str "%s depth=%d" name depth)
-      (Staged.stage (fun () -> Completeness.check ~depth spec))
+    (Fmt.str "%s depth=%d" name depth, time (fun () -> Completeness.check ~depth spec))
   in
   report ~id:"E3" ~title:"sufficient completeness: coverage + termination + probing (Sec 4.4a)"
     ~notes:"probing dominates and grows with |updates|^depth"
-    (Test.make_grouped ~name:"e3-suff-complete"
-       [
-         point "hand-eqs" uni 1;
-         point "hand-eqs" uni 2;
-         point "derived " University.derived_functions 1;
-         point "derived " University.derived_functions 2;
-       ])
+    [
+      point "hand-eqs" uni 1;
+      point "hand-eqs" uni 2;
+      point "derived " University.derived_functions 1;
+      point "derived " University.derived_functions 2;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E4: refinement T1->T2 (static consistency + reachability + modal)   *)
@@ -184,17 +182,14 @@ let dom_2x2 = University.domain
 
 let e4 () =
   let point name dom =
-    Test.make ~name
-      (Staged.stage (fun () ->
-           Check12.check ~domain:dom University.info uni University.interp))
+    (name, time (fun () -> Check12.check ~domain:dom University.info uni University.interp))
   in
   report ~id:"E4"
     ~title:"refinement T1->T2: properties (b),(c),(d) of Sec 4.4 over a bounded domain"
     ~notes:"reachable states grow with the domain (3 / 9 / 25); the valid-state sweep is exponential in |tuples|"
-    (Test.make_grouped ~name:"e4-check12"
-       [ point "domain=1x1 (3 states)" dom_1x1;
-         point "domain=2x1 (9 states)" dom_2x1;
-         point "domain=2x2 (25 states)" dom_2x2 ])
+    [ point "domain=1x1 (3 states)" dom_1x1;
+      point "domain=2x1 (9 states)" dom_2x1;
+      point "domain=2x2 (25 states)" dom_2x2 ]
 
 (* ------------------------------------------------------------------ *)
 (* E5: enumerating the valid states (Sec 4.4c)                         *)
@@ -209,15 +204,13 @@ let e5 () =
       ]
   in
   let point name dom =
-    Test.make ~name
-      (Staged.stage (fun () -> Check12.valid_states University.info ~domain:dom))
+    (name, time (fun () -> Check12.valid_states University.info ~domain:dom))
   in
   report ~id:"E5" ~title:"valid-state enumeration: all models of the static axioms"
     ~notes:"2^(|offered tuples| + |takes tuples|) candidate structures"
-    (Test.make_grouped ~name:"e5-valid-states"
-       [ point "domain=1x1 (2^3 candidates)" dom_1x1;
-         point "domain=2x2 (2^6 candidates)" dom_2x2;
-         point "domain=3x2 (2^9 candidates)" dom_3x2 ])
+    [ point "domain=1x1 (2^3 candidates)" dom_1x1;
+      point "domain=2x2 (2^6 candidates)" dom_2x2;
+      point "domain=3x2 (2^9 candidates)" dom_3x2 ]
 
 (* ------------------------------------------------------------------ *)
 (* E6: transition-consistency checking on a prebuilt universe          *)
@@ -232,13 +225,11 @@ let e6 () =
   in
   let point name dom =
     let u = mk dom in
-    Test.make ~name
-      (Staged.stage (fun () -> Ttheory.check_in University.info u))
+    (name, time (fun () -> Ttheory.check_in University.info u))
   in
   report ~id:"E6" ~title:"transition consistency: modal axioms over the reachable universe"
     ~notes:"the nested dia axiom visits successor sets; cost scales with states x edges"
-    (Test.make_grouped ~name:"e6-transition"
-       [ point "1x1 (3 states)" dom_1x1; point "2x2 (25 states)" dom_2x2 ])
+    [ point "1x1 (3 states)" dom_1x1; point "2x2 (25 states)" dom_2x2 ]
 
 (* ------------------------------------------------------------------ *)
 (* E7: RPR procedure execution vs database size + update styles        *)
@@ -267,26 +258,20 @@ let e7 () =
     let env, db = mk_db n in
     let env_naive = { env with Semantics.strategy = `Naive } in
     [
-      Test.make
-        ~name:(Fmt.str "enroll tuple-oriented        n=%5d" n)
-        (Staged.stage (fun () -> Semantics.exec env insert_stmt db));
-      Test.make
-        ~name:(Fmt.str "enroll set-oriented compiled n=%5d" n)
-        (Staged.stage (fun () -> Semantics.exec env set_stmt db));
-      Test.make
-        ~name:(Fmt.str "enroll set-oriented naive    n=%5d" n)
-        (Staged.stage (fun () -> Semantics.exec env_naive set_stmt db));
-      Test.make
-        ~name:(Fmt.str "cancel quantified guard      n=%5d" n)
-        (Staged.stage (fun () ->
-             Semantics.call_det env "cancel" [ v "cs102" ] db));
+      ( Fmt.str "enroll tuple-oriented        n=%5d" n,
+        time (fun () -> Semantics.exec env insert_stmt db) );
+      ( Fmt.str "enroll set-oriented compiled n=%5d" n,
+        time (fun () -> Semantics.exec env set_stmt db) );
+      ( Fmt.str "enroll set-oriented naive    n=%5d" n,
+        time (fun () -> Semantics.exec env_naive set_stmt db) );
+      ( Fmt.str "cancel quantified guard      n=%5d" n,
+        time (fun () -> Semantics.call_det env "cancel" [ v "cs102" ] db) );
     ]
   in
   report ~id:"E7"
     ~title:"procedure execution: tuple- vs set-oriented styles (Sec 5.2 discussion)"
     ~notes:"tuple-oriented point updates are O(log n); set-oriented reassignment rebuilds the relation; naive enumeration pays |student| x |course|"
-    (Test.make_grouped ~name:"e7-rpr-exec"
-       (List.concat_map point [ 10; 100; 1000 ]))
+    (List.concat_map point [ 10; 100; 1000 ])
 
 (* ------------------------------------------------------------------ *)
 (* E8: W-grammar recognition vs schema size                            *)
@@ -306,14 +291,13 @@ let e8 () =
   in
   let point k =
     let src = schema_src k in
-    Test.make
-      ~name:(Fmt.str "relations=procs=%d (%d tokens)" k
-               (List.length (Rpr_grammar.tokens_of_source src)))
-      (Staged.stage (fun () -> Rpr_grammar.recognizes src))
+    ( Fmt.str "relations=procs=%d (%d tokens)" k
+        (List.length (Rpr_grammar.tokens_of_source src)),
+      time (fun () -> Rpr_grammar.recognizes src) )
   in
   report ~id:"E8" ~title:"W-grammar recognition of schema texts (Sec 5.1.1)"
     ~notes:"superlinear: memoized spans x free-metanotion enumeration (identifiers grow with the schema)"
-    (Test.make_grouped ~name:"e8-wgrammar" (List.map point [ 1; 2; 4; 8 ]))
+    (List.map point [ 1; 2; 4; 8 ])
 
 (* ------------------------------------------------------------------ *)
 (* E9: refinement T2->T3                                               *)
@@ -322,14 +306,12 @@ let e8 () =
 let e9 () =
   let point name dom =
     let env = Semantics.env ~domain:dom University.representation in
-    Test.make ~name
-      (Staged.stage (fun () -> Check23.check uni env University.mapping))
+    (name, time (fun () -> Check23.check uni env University.mapping))
   in
   report ~id:"E9" ~title:"refinement T2->T3: every equation valid in the induced model (Sec 5.4)"
     ~notes:"instances = equations x parameter tuples x reachable databases"
-    (Test.make_grouped ~name:"e9-check23"
-       [ point "domain=1x1" dom_1x1; point "domain=2x1" dom_2x1;
-         point "domain=2x2" dom_2x2 ])
+    [ point "domain=1x1" dom_1x1; point "domain=2x1" dom_2x1;
+      point "domain=2x2" dom_2x2 ]
 
 (* ------------------------------------------------------------------ *)
 (* E10: relational calculus evaluation, naive vs compiled              *)
@@ -360,18 +342,16 @@ let e10 () =
                    [ v (Fmt.str "s%d" i); (if i mod 2 = 0 then v "cs101" else v "cs102") ])))
     in
     [
-      Test.make
-        ~name:(Fmt.str "naive active-domain n=%4d" n)
-        (Staged.stage (fun () -> Relcalc.eval_rterm_naive ~domain:dom db rterm));
-      Test.make
-        ~name:(Fmt.str "compiled algebra    n=%4d" n)
-        (Staged.stage (fun () -> Relalg.eval ~domain:dom db compiled));
+      ( Fmt.str "naive active-domain n=%4d" n,
+        time (fun () -> Relcalc.eval_rterm_naive ~domain:dom db rterm) );
+      ( Fmt.str "compiled algebra    n=%4d" n,
+        time (fun () -> Relalg.eval ~domain:dom db compiled) );
     ]
   in
   report ~id:"E10"
     ~title:"relational term {(s,c) | TAKES & ~OFFERED}: naive vs algebra-compiled"
     ~notes:"naive enumerates |student| x |course| tuples and re-tests; compiled scans TAKES once with an antijoin"
-    (Test.make_grouped ~name:"e10-relcalc" (List.concat_map point [ 8; 64; 512 ]))
+    (List.concat_map point [ 8; 64; 512 ])
 
 (* ------------------------------------------------------------------ *)
 (* E11: equation derivation from structured descriptions               *)
@@ -380,12 +360,10 @@ let e10 () =
 let e11 () =
   report ~id:"E11" ~title:"constructive derivation of equations (Sec 4.2 methodology)"
     ~notes:"cost is |descriptions| x |queries|; negligible next to verification"
-    (Test.make_grouped ~name:"e11-derive"
-       [
-         Test.make ~name:"university (5 updates, 2 queries)"
-           (Staged.stage (fun () ->
-                Derive.equations_exn sg2 University.descriptions));
-       ])
+    [
+      ( "university (5 updates, 2 queries)",
+        time (fun () -> Derive.equations_exn sg2 University.descriptions) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E12: cross-level agreement sweep                                    *)
@@ -393,17 +371,15 @@ let e11 () =
 
 let e12 () =
   let point name dom depth =
-    Test.make ~name
-      (Staged.stage (fun () -> Design.agreement ~domain:dom ~depth University.design))
+    (name, time (fun () -> Design.agreement ~domain:dom ~depth University.design))
   in
   report ~id:"E12" ~title:"cross-level agreement: levels 2 and 3 answer every query alike (Sec 6)"
     ~notes:"traces grow with |updates|^depth; each compared at both levels"
-    (Test.make_grouped ~name:"e12-agreement"
-       [
-         point "domain=1x1 depth=2" dom_1x1 2;
-         point "domain=1x1 depth=3" dom_1x1 3;
-         point "domain=2x2 depth=2" dom_2x2 2;
-       ])
+    [
+      point "domain=1x1 depth=2" dom_1x1 2;
+      point "domain=1x1 depth=3" dom_1x1 3;
+      point "domain=2x2 depth=2" dom_2x2 2;
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E13: observability ablation (extension)                             *)
@@ -413,15 +389,12 @@ let e13 () =
   let g = Reach.explore_exn ~domain:dom_2x2 uni in
   report ~id:"E13" ~title:"observability: quotient size under query ablation (Sec 4.1)"
     ~notes:"dropping a load-bearing query collapses the 25-state quotient; the check is linear in states x observations"
-    (Test.make_grouped ~name:"e13-observability"
-       [
-         Test.make ~name:"full repertoire (25 states)"
-           (Staged.stage (fun () -> Observability.observable g));
-         Test.make ~name:"ablation table"
-           (Staged.stage (fun () -> Observability.ablation uni g));
-         Test.make ~name:"minimal sufficient sets"
-           (Staged.stage (fun () -> Observability.minimal_sufficient_sets uni g));
-       ])
+    [
+      ("full repertoire (25 states)", time (fun () -> Observability.observable g));
+      ("ablation table", time (fun () -> Observability.ablation uni g));
+      ( "minimal sufficient sets",
+        time (fun () -> Observability.minimal_sufficient_sets uni g) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E14: critical pairs / confluence (extension)                        *)
@@ -430,15 +403,11 @@ let e13 () =
 let e14 () =
   report ~id:"E14" ~title:"critical pairs of the conditional rewrite system"
     ~notes:"pair discovery is |equations|^2 unifications; joinability pays ground instances x rewriting"
-    (Test.make_grouped ~name:"e14-confluence"
-       [
-         Test.make ~name:"discover pairs (hand equations)"
-           (Staged.stage (fun () -> Confluence.critical_pairs uni));
-         Test.make ~name:"decide joinability depth=1"
-           (Staged.stage (fun () -> Confluence.check ~depth:1 uni));
-         Test.make ~name:"decide joinability depth=2"
-           (Staged.stage (fun () -> Confluence.check ~depth:2 uni));
-       ])
+    [
+      ("discover pairs (hand equations)", time (fun () -> Confluence.critical_pairs uni));
+      ("decide joinability depth=1", time (fun () -> Confluence.check ~depth:1 uni));
+      ("decide joinability depth=2", time (fun () -> Confluence.check ~depth:2 uni));
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E15: time-sorted translation vs modal checking (Sec 3.1 variant)    *)
@@ -459,37 +428,32 @@ let e15 () =
   report ~id:"E15"
     ~title:"modal vs time-sorted checking of the transition axiom (Sec 3.1 alternative)"
     ~notes:"the time-sorted route quantifies over time points explicitly; same verdicts, comparable cost"
-    (Test.make_grouped ~name:"e15-timesort"
-       [
-         Test.make ~name:"Kripke (modal operators)"
-           (Staged.stage (fun () -> Check.holds_everywhere u axiom2));
-         Test.make ~name:"time-sorted translation"
-           (Staged.stage (fun () ->
-                List.init (Universe.num_states u) (fun i ->
-                    Timesort.holds_at sg1 u i axiom2)));
-       ])
+    [
+      ("Kripke (modal operators)", time (fun () -> Check.holds_everywhere u axiom2));
+      ( "time-sorted translation",
+        time (fun () ->
+            List.init (Universe.num_states u) (fun i -> Timesort.holds_at sg1 u i axiom2))
+      );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E16: semantic vs dynamic-logic route to 2->3 refinement             *)
 (* ------------------------------------------------------------------ *)
 
 let e16 () =
-  let point name dom =
+  let point (name, dom) =
     let env = Semantics.env ~domain:dom University.representation in
     [
-      Test.make
-        ~name:(Fmt.str "semantic route (Check23)   %s" name)
-        (Staged.stage (fun () -> Check23.check uni env University.mapping));
-      Test.make
-        ~name:(Fmt.str "dynamic-logic route        %s" name)
-        (Staged.stage (fun () -> Dynamic23.check uni env University.mapping));
+      ( Fmt.str "semantic route (Check23)   %s" name,
+        time (fun () -> Check23.check uni env University.mapping) );
+      ( Fmt.str "dynamic-logic route        %s" name,
+        time (fun () -> Dynamic23.check uni env University.mapping) );
     ]
   in
   report ~id:"E16"
     ~title:"2->3 refinement: semantic route vs the deferred dynamic-logic route (Sec 5.3)"
     ~notes:"both check all 15 equations over the reachable databases; the DL route re-runs the procedure inside each modality"
-    (Test.make_grouped ~name:"e16-dynamic23"
-       (List.concat_map (fun (n, d) -> point n d) [ ("1x1", dom_1x1); ("2x1", dom_2x1) ]))
+    (List.concat_map point [ ("1x1", dom_1x1); ("2x1", dom_2x1) ])
 
 (* ------------------------------------------------------------------ *)
 (* E17: transactional overhead over direct execution                   *)
@@ -508,35 +472,24 @@ let e17 () =
       ("cancel", [ v "cs102" ]);
     ]
   in
-  let point name dom =
-    let env = Semantics.env ~domain:dom schema in
-    let db0 = Fdbs_rpr.Schema.empty_db schema in
-    let direct () =
-      List.fold_left
-        (fun db (n, args) -> Semantics.call_det_exn env n args db)
-        db0 calls
-    in
-    let txn = Txn.make env in
-    let budgeted = Txn.make env in
-    [
-      Test.make
-        ~name:(Fmt.str "direct call_det           %s" name)
-        (Staged.stage direct);
-      Test.make
-        ~name:(Fmt.str "transactional             %s" name)
-        (Staged.stage (fun () -> Txn.run txn calls db0));
-      Test.make
-        ~name:(Fmt.str "transactional + budget    %s" name)
-        (Staged.stage (fun () ->
-             Txn.run ~budget:(Budget.make ~steps:10_000 ~ms:10_000 ()) budgeted
-               calls db0));
-    ]
+  let env = Semantics.env ~domain:dom_2x2 schema in
+  let db0 = Fdbs_rpr.Schema.empty_db schema in
+  let direct () =
+    List.fold_left (fun db (n, args) -> Semantics.call_det_exn env n args db) db0 calls
   in
+  let txn = Txn.make env in
+  let budgeted = Txn.make env in
   report ~id:"E17"
     ~title:"transactional execution: snapshot/commit/constraint overhead over direct calls"
     ~notes:"Db.t is immutable, so the snapshot is free; the cost is the budget accounting and commit-time constraint sweep"
-    (Test.make_grouped ~name:"e17-txn"
-       (List.concat_map (fun (n, d) -> point n d) [ ("2x2", dom_2x2) ]))
+    [
+      ("direct call_det           2x2", time direct);
+      ("transactional             2x2", time (fun () -> Txn.run txn calls db0));
+      ( "transactional + budget    2x2",
+        time (fun () ->
+            Txn.run ~budget:(Budget.make ~steps:10_000 ~ms:10_000 ()) budgeted calls db0)
+      );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* E19: the cost-based query planner — quantified bodies, constraint   *)
@@ -599,24 +552,16 @@ let e19 () =
         takes_offered_wff
     in
     [
-      Test.make
-        ~name:(Fmt.str "quantified rterm naive    n=%4d" n)
-        (Staged.stage (eval `Naive));
-      Test.make
-        ~name:(Fmt.str "quantified rterm compiled n=%4d" n)
-        (Staged.stage (eval `Compiled));
-      Test.make
-        ~name:(Fmt.str "constraint check naive    n=%4d" n)
-        (Staged.stage (check `Naive));
-      Test.make
-        ~name:(Fmt.str "constraint check compiled n=%4d" n)
-        (Staged.stage (check `Compiled));
+      (Fmt.str "quantified rterm naive    n=%4d" n, time (eval `Naive));
+      (Fmt.str "quantified rterm compiled n=%4d" n, time (eval `Compiled));
+      (Fmt.str "constraint check naive    n=%4d" n, time (check `Naive));
+      (Fmt.str "constraint check compiled n=%4d" n, time (check `Compiled));
     ]
   in
   report ~id:"E19"
     ~title:"cost-based planner: quantified bodies and constraint checks vs naive"
     ~notes:"naive pays carrier-product enumeration with an inner quantifier sweep per tuple; the plan cache amortizes compilation so compiled scans the live relations"
-    (Test.make_grouped ~name:"e19-planner" (List.concat_map point [ 16; 64; 256 ]))
+    (List.concat_map point [ 16; 64; 256 ])
 
 (* ------------------------------------------------------------------ *)
 (* E18: kernel microbenchmarks, machine-readable (--json)               *)
@@ -624,35 +569,14 @@ let e19 () =
 
 (* The JSON mode exists for the CI perf gate: a handful of kernel
    metrics (indexed-relation membership / compose / closure, and the
-   full Check23 sweep at 1/2/4 domains) timed with a plain monotonic
+   full Check23 sweep at 1/2/4 domains) timed with the tables' [time_ns]
    loop and printed as one JSON object. The gate normalizes every
    metric by [calibration_ns] — the cost of a fixed pure-OCaml loop on
    the same machine — so baselines survive hardware changes. *)
 
-(* Monotonic, immune to wall-clock adjustments mid-measurement. *)
-let now_ns () = Mclock.now () *. 1e9
-
-(* ns per call of [f]: repeat in doubling batches (after one warm-up
-   call) until the batch runs at least [min_time_ns]. *)
-let time_ns ?(min_time_ns = 5e7) (f : unit -> unit) : float =
-  f ();
-  let rec go reps =
-    let t0 = now_ns () in
-    for _ = 1 to reps do
-      f ()
-    done;
-    let dt = now_ns () -. t0 in
-    if dt >= min_time_ns || reps >= 1 lsl 24 then dt /. float_of_int reps
-    else go (reps * 2)
-  in
-  go 1
-
 let calibration () =
   let xs = List.init 4096 (fun i -> i) in
-  time_ns (fun () ->
-      ignore
-        (Sys.opaque_identity
-           (List.fold_left (fun acc i -> acc + (i * i mod 4093)) 0 xs)))
+  time_ns (fun () -> List.fold_left (fun acc i -> acc + (i * i mod 4093)) 0 xs)
 
 let bench_relation_mem () =
   let tuples = List.init 1024 (fun i -> [ Value.Int i; Value.Int (i * 7) ]) in
@@ -662,11 +586,7 @@ let bench_relation_mem () =
   let probes = present @ absent in
   let per_batch =
     time_ns (fun () ->
-        ignore
-          (Sys.opaque_identity
-             (List.fold_left
-                (fun acc tu -> if Relation.mem tu r then acc + 1 else acc)
-                0 probes)))
+        List.fold_left (fun acc tu -> if Relation.mem tu r then acc + 1 else acc) 0 probes)
   in
   per_batch /. float_of_int (List.length probes)
 
@@ -679,14 +599,14 @@ let bench_relation_compose () =
     Relation.of_list [ "m"; "b" ]
       (List.init 512 (fun i -> [ Value.Int (i mod 64); Value.Int i ]))
   in
-  time_ns (fun () -> ignore (Sys.opaque_identity (Relation.compose a b)))
+  time_ns (fun () -> Relation.compose a b)
 
 let bench_relation_closure () =
   let chain =
     Relation.of_list [ "n"; "n" ]
       (List.init 48 (fun i -> [ Value.Int i; Value.Int (i + 1) ]))
   in
-  time_ns (fun () -> ignore (Sys.opaque_identity (Relation.transitive_closure chain)))
+  time_ns (fun () -> Relation.transitive_closure chain)
 
 (* Shared-snapshot ablation (E23). A parallel sweep can hand every
    worker domain the same immutable relation — indexes built once,
@@ -704,11 +624,9 @@ let snapshot_probes =
   @ List.init 256 (fun i -> [ Value.Int (i + 2048); Value.Int i ])
 
 let snapshot_sweep r =
-  ignore
-    (Sys.opaque_identity
-       (List.fold_left
-          (fun acc tu -> if Relation.mem tu r then acc + 1 else acc)
-          0 snapshot_probes))
+  List.fold_left
+    (fun acc tu -> if Relation.mem tu r then acc + 1 else acc)
+    0 snapshot_probes
 
 let bench_snapshot_shared () =
   let r = Relation.of_list snapshot_sorts snapshot_tuples in
@@ -733,10 +651,8 @@ let bench_planner_quantified ~strategy () =
   let dom = domain_n_students n in
   let db = planner_db n in
   time_ns (fun () ->
-      ignore
-        (Sys.opaque_identity
-           (Planner.eval_rterm ~strategy ~schema:planner_schema ~domain:dom db
-              planner_quantified_rterm)))
+      Planner.eval_rterm ~strategy ~schema:planner_schema ~domain:dom db
+        planner_quantified_rterm)
 
 let bench_constraint_check ~strategy () =
   let n = 512 in
@@ -755,8 +671,7 @@ let bench_constraint_check ~strategy () =
 let bench_trace_span ~enabled () =
   Trace.set_enabled enabled;
   let per_call =
-    time_ns (fun () ->
-        ignore (Sys.opaque_identity (Trace.with_span "bench.span" (fun () -> 1))))
+    time_ns (fun () -> Trace.with_span "bench.span" (fun () -> 1))
   in
   Trace.set_enabled false;
   Trace.reset ();
@@ -776,7 +691,7 @@ let bench_semantics_statement ~traced () =
   let stmt = Stmt.Insert ("TAKES", [ Term.Lit (v "s0"); Term.Lit (v "cs102") ]) in
   Trace.set_enabled traced;
   let per_call =
-    time_ns (fun () -> ignore (Sys.opaque_identity (Semantics.exec env stmt db)))
+    time_ns (fun () -> Semantics.exec env stmt db)
   in
   Trace.set_enabled false;
   Trace.reset ();
@@ -787,14 +702,11 @@ let bench_semantics_statement ~traced () =
 let bench_plan_cache_miss () =
   time_ns (fun () ->
       Planner.clear ();
-      ignore
-        (Sys.opaque_identity (Planner.plan_rterm planner_schema planner_quantified_rterm)))
+      Planner.plan_rterm planner_schema planner_quantified_rterm)
 
 let bench_plan_cache_hit () =
   ignore (Planner.plan_rterm planner_schema planner_quantified_rterm);
-  time_ns (fun () ->
-      ignore
-        (Sys.opaque_identity (Planner.plan_rterm planner_schema planner_quantified_rterm)))
+  time_ns (fun () -> Planner.plan_rterm planner_schema planner_quantified_rterm)
 
 (* Service session costs (E21). The daemon's reason to exist: a warm
    session pays only execution per request, while a one-shot client
@@ -1012,7 +924,7 @@ let bench_constraint_burst ~incremental () =
    without timing anything. *)
 let minor_words f =
   let w0 = Gc.minor_words () in
-  f ();
+  ignore (Sys.opaque_identity (f ()));
   Gc.minor_words () -. w0
 
 let alloc_sizes = [ 2000; 8000 ]
@@ -1034,14 +946,14 @@ let bench_commit_alloc ~n =
    path's domain computation. *)
 let bench_active_domain_alloc ~n =
   let db, _ = burst_store ~n in
-  minor_words (fun () -> ignore (Sys.opaque_identity (Db.active_domain db)))
+  minor_words (fun () -> Db.active_domain db)
 
 (* Gateway throughput (E25). Boot the real [Server.serve] on a Unix
    socket in a spawned domain and drive it with [gw_clients] pipelined
    connections, each keeping a window of [gw_window] frames in flight
    (~7:1 ping:query mix), exactly as the pooled `fds client` does. The
    result is aggregate answered requests per second — the end-to-end
-   number CI floors with gate.ml's --rps-min: protocol framing, the
+   number gate.ml's bound table floors: protocol framing, the
    pipelined read-ahead loop, admission accounting, and the corked
    flush all sit on this path. *)
 module Server = Fdbs_service.Server
@@ -1215,11 +1127,12 @@ let bench_monitor_commit ~monitored () =
   | _ -> ());
   per_commit
 
-let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
+(* A report key as a JSON string, through the writer the gate and the
+   protocol share. *)
+let json_key k =
+  let buf = Buffer.create 32 in
+  Json.add_string buf k;
+  Buffer.contents buf
 
 let run_json () =
   let calibration_ns = calibration () in
@@ -1264,8 +1177,8 @@ let run_json () =
   let get name = List.assoc name metrics in
   let derived =
     [
-      (* gated by gate.ml's --check23-speedup-min on runners with >= 4
-         cores (default 1.5 at 4 domains; jobs2 must not regress) *)
+      (* gated by gate.ml on runners with >= 4 cores (>= 1.5 at 4
+         domains; jobs2 must not regress) *)
       ("check23_speedup_jobs2", get "check23_jobs1" /. get "check23_jobs2");
       ("check23_speedup_jobs4", get "check23_jobs1" /. get "check23_jobs4");
       (* shared warm snapshot vs per-chunk copy rebuild — the E23
@@ -1283,29 +1196,28 @@ let run_json () =
         get "trace_span_disabled" /. get "semantics_statement" );
       ( "trace_enabled_cost_ratio",
         get "semantics_statement_traced" /. get "semantics_statement" );
-      (* gated by gate.ml (>= 5 by default): a warm session must beat
-         per-request setup by the margin that justifies the daemon *)
+      (* gated by gate.ml (>= 5): a warm session must beat per-request
+         setup by the margin that justifies the daemon *)
       ( "session_warm_speedup",
         get "session_cold_request" /. get "session_warm_request" );
       (* recovery bounded by a snapshot vs a full history re-run —
          the number EXPERIMENTS.md's E22 reports *)
       ("recovery_snapshot_speedup", get "recovery_full" /. get "recovery_snapshot");
-      (* gated by gate.ml's --delta-speedup-min (CI passes 5): a warm
-         differential commit must beat from-scratch constraint
-         re-evaluation by the margin that justifies the machinery —
-         the number EXPERIMENTS.md's E24 reports *)
+      (* gated by gate.ml (>= 5): a warm differential commit must beat
+         from-scratch constraint re-evaluation by the margin that
+         justifies the machinery — the number EXPERIMENTS.md's E24
+         reports *)
       ( "constraint_delta_speedup",
         get "constraint_burst_scratch" /. get "constraint_burst_incremental" );
-      (* gated by gate.ml's --monitor-overhead-max (default 0:
-         disabled; CI passes 3): a commit with streaming monitors
+      (* gated by gate.ml (<= 3): a commit with streaming monitors
          attached relative to the same commit without them — the
          number EXPERIMENTS.md's E26 reports *)
       ( "monitor_commit_overhead",
         get "monitor_commit_monitored" /. get "monitor_commit_plain" );
       (* not a ratio: aggregate answered requests/second through the
-         socket gateway (E25), gated by gate.ml's --rps-min (CI passes
-         200 — an absolute floor, deliberately far below any real
-         machine, that catches a hung or serialized gateway) *)
+         socket gateway (E25), gated by gate.ml (>= 200 — an absolute
+         floor, deliberately far below any real machine, that catches a
+         hung or serialized gateway) *)
       ("gateway_rps", bench_gateway_rps ());
     ]
   in
@@ -1324,12 +1236,12 @@ let run_json () =
   let derived =
     derived
     @ [
-        (* gated by gate.ml's --commit-alloc-ratio-max (CI passes 1.5):
-           the words one differential commit allocates at n = 8k over
-           n = 2k — a commit must cost O(|delta|), not O(|db|) *)
+        (* gated by gate.ml (<= 1.5): the words one differential
+           commit allocates at n = 8k over n = 2k — a commit must cost
+           O(|delta|), not O(|db|) *)
         ("commit_alloc_ratio", alloc_ratio "commit_alloc");
-        (* gated by gate.ml's --active-domain-alloc-ratio-max (CI passes
-           6): recovery's domain computation must stay O(n log n) *)
+        (* gated by gate.ml (<= 6): recovery's domain computation must
+           stay O(n log n) *)
         ("active_domain_alloc_ratio", alloc_ratio "active_domain_alloc");
       ]
   in
@@ -1339,7 +1251,7 @@ let run_json () =
         list ~sep:(any ",@,") (fun ppf (k, value) ->
             (* 4 decimals: the derived overhead ratios live well below
                the 2% gate and must survive the round-trip *)
-            Fmt.pf ppf "@[\"%s\": %.4f@]" (json_escape k) value))
+            Fmt.pf ppf "@[%s: %.4f@]" (json_key k) value))
       fields
   in
   Fmt.pr
@@ -1357,171 +1269,142 @@ let run_json () =
 (* E20: observability — span/counter costs and counter deltas          *)
 (* ------------------------------------------------------------------ *)
 
-(* Measured with the same monotonic time_ns loop as the JSON metrics
-   (not Bechamel): the off/on variants flip the process-wide tracing
-   flag, which must not interleave with other tests. Printed after
-   E19 in the human-readable run. *)
+(* The off/on variants flip the process-wide tracing flag, so each is
+   measured on its own before the table prints. *)
 let e20 () =
-  Fmt.pr "@.E20: observability: span and counter costs, tracing off vs on@.";
-  Fmt.pr "----------------------------------------------------------------@.";
-  let rows =
+  let incr = bench_metrics_incr () in
+  let span_off = bench_trace_span ~enabled:false () in
+  let span_on = bench_trace_span ~enabled:true () in
+  let stmt_off = bench_semantics_statement ~traced:false () in
+  let stmt_on = bench_semantics_statement ~traced:true () in
+  report ~id:"E20" ~title:"observability: span and counter costs, tracing off vs on"
+    ~notes:"a disabled span is one atomic load; enabled spans pay two clock reads and an allocation; counters are one atomic rmw"
     [
-      ("metrics counter incr", bench_metrics_incr ());
-      ("span site, tracing disabled", bench_trace_span ~enabled:false ());
-      ("span site, tracing enabled", bench_trace_span ~enabled:true ());
-      ( "semantics statement, tracing disabled",
-        bench_semantics_statement ~traced:false () );
-      ( "semantics statement, tracing enabled",
-        bench_semantics_statement ~traced:true () );
+      ("metrics counter incr", ns incr);
+      ("span site, tracing disabled", ns span_off);
+      ("span site, tracing enabled", ns span_on);
+      ("semantics statement, tracing disabled", ns stmt_off);
+      ("semantics statement, tracing enabled", ns stmt_on);
+      ( "disabled span / statement (gate: <= 0.02)",
+        fun () -> Fmt.str "%8.4f" (span_off /. stmt_off) );
     ]
-  in
-  List.iter (fun (name, ns) -> Fmt.pr "  %-42s %a@." name pp_time ns) rows;
-  let get name = List.assoc name rows in
-  Fmt.pr "  disabled span / statement: %.4f (gate: <= 0.02)@."
-    (get "span site, tracing disabled"
-    /. get "semantics statement, tracing disabled");
-  Fmt.pr
-    "  shape: a disabled span is one atomic load; enabled spans pay two clock \
-     reads and an allocation; counters are one atomic rmw@."
 
 (* E21: service sessions — warm session vs per-request setup           *)
 
 let e21 () =
-  Fmt.pr "@.E21: service sessions: warm session vs per-request setup@.";
-  Fmt.pr "----------------------------------------------------------------@.";
   let warm = bench_session_warm () in
   let cold = bench_session_cold () in
-  Fmt.pr "  %-42s %a@." "request on a warm session" pp_time warm;
-  Fmt.pr "  %-42s %a@." "request paying full session setup" pp_time cold;
-  Fmt.pr "  warm-session speedup: %.1fx (gate: >= 5x)@." (cold /. warm);
-  Fmt.pr
-    "  shape: setup re-checks the schema and re-plans every constraint and \
-     assignment against a cold plan cache; the warm session keeps those and \
-     pays only execution@."
+  report ~id:"E21" ~title:"service sessions: warm session vs per-request setup"
+    ~notes:"setup re-checks the schema and re-plans every constraint and assignment against a cold plan cache; the warm session keeps those and pays only execution"
+    [
+      ("request on a warm session", ns warm);
+      ("request paying full session setup", ns cold);
+      ("warm-session speedup (gate: >= 5x)", ratio (cold /. warm));
+    ]
 
 (* E22: crash recovery — snapshot-bounded replay vs full history       *)
 
 let e22 () =
-  Fmt.pr "@.E22: recovery: snapshot-bounded replay vs full journal replay@.";
-  Fmt.pr "----------------------------------------------------------------@.";
   let full, snapshot = bench_recovery () in
-  Fmt.pr "  %-42s %a@."
-    (Fmt.str "full replay (%d entries)" recovery_entries)
-    pp_time full;
-  Fmt.pr "  %-42s %a@."
-    (Fmt.str "snapshot + %d-entry tail" recovery_tail)
-    pp_time snapshot;
-  Fmt.pr "  snapshot-bounded speedup: %.1fx@." (full /. snapshot);
-  Fmt.pr
-    "  shape: full recovery re-executes every committed entry, constraint \
-     checks included; a durable snapshot installs the captured state directly \
-     and re-runs only the tail committed after it@."
+  report ~id:"E22" ~title:"recovery: snapshot-bounded replay vs full journal replay"
+    ~notes:"full recovery re-executes every committed entry, constraint checks included; a durable snapshot installs the captured state directly and re-runs only the tail committed after it"
+    [
+      (Fmt.str "full replay (%d entries)" recovery_entries, ns full);
+      (Fmt.str "snapshot + %d-entry tail" recovery_tail, ns snapshot);
+      ("snapshot-bounded speedup", ratio (full /. snapshot));
+    ]
 
 (* E23: the parallel refinement sweep — work-stealing speedups and the
    shared-snapshot ablation *)
 
 let e23 () =
-  Fmt.pr "@.E23: work-stealing Pool: Check23 speedups and snapshot sharing@.";
-  Fmt.pr "----------------------------------------------------------------@.";
   let j1 = bench_check23 ~jobs:1 () in
   let j2 = bench_check23 ~jobs:2 () in
   let j4 = bench_check23 ~jobs:4 () in
-  Fmt.pr "  %-42s %a@." "check23 sweep, 1 domain" pp_time j1;
-  Fmt.pr "  %-42s %a  (%.2fx)@." "check23 sweep, 2 domains" pp_time j2
-    (j1 /. j2);
-  Fmt.pr "  %-42s %a  (%.2fx)@." "check23 sweep, 4 domains" pp_time j4
-    (j1 /. j4);
   let shared = bench_snapshot_shared () in
   let copy = bench_snapshot_copy () in
-  Fmt.pr "  %-42s %a@." "probe sweep, shared warm snapshot" pp_time shared;
-  Fmt.pr "  %-42s %a@." "probe sweep, per-chunk copy rebuild" pp_time copy;
-  Fmt.pr "  shared-snapshot speedup: %.1fx@." (copy /. shared);
-  Fmt.pr
-    "  shape: persistent worker domains + work stealing remove the per-map \
-     spawn and straggler barrier; sharing the immutable snapshot removes the \
-     per-chunk index rebuild. Speedups need real cores (this machine: %d); \
-     the CI multicore gate requires >= 1.5x at 4 domains@."
-    (Pool.recommended_jobs ())
+  report ~id:"E23" ~title:"work-stealing Pool: Check23 speedups and snapshot sharing"
+    ~notes:
+      (Fmt.str
+         "persistent worker domains + work stealing remove the per-map spawn and \
+          straggler barrier; sharing the immutable snapshot removes the per-chunk \
+          index rebuild. Speedups need real cores (this machine: %d); the CI gate \
+          requires >= 1.5x at 4 domains on a runner with >= 4 cores"
+         (Pool.recommended_jobs ()))
+    [
+      ("check23 sweep, 1 domain", ns j1);
+      ("check23 sweep, 2 domains", ns j2);
+      ("check23 sweep, 4 domains", ns j4);
+      ("check23 speedup, 2 domains", ratio (j1 /. j2));
+      ("check23 speedup, 4 domains", ratio (j1 /. j4));
+      ("probe sweep, shared warm snapshot", ns shared);
+      ("probe sweep, per-chunk copy rebuild", ns copy);
+      ("shared-snapshot speedup", ratio (copy /. shared));
+    ]
 
 (* E24: incremental evaluation — differential constraint checks on a
    write-heavy commit burst *)
 
 let e24 () =
-  Fmt.pr
-    "@.E24: incremental evaluation: delta-driven constraint checks per commit@.";
-  Fmt.pr "----------------------------------------------------------------@.";
   let incr_ns = bench_constraint_burst ~incremental:true () in
   let scratch_ns = bench_constraint_burst ~incremental:false () in
-  Fmt.pr "  %-42s %a@."
-    (Fmt.str "commit, %d constraints, from scratch" burst_k)
-    pp_time scratch_ns;
-  Fmt.pr "  %-42s %a@."
-    (Fmt.str "commit, %d constraints, differential" burst_k)
-    pp_time incr_ns;
-  Fmt.pr "  delta speedup: %.1fx  (gate: >= 5x)@." (scratch_ns /. incr_ns);
-  Fmt.pr
-    "  shape: from-scratch checking re-evaluates every compiled plan over all \
-     %d tuples per commit; the differential layer takes the one-tuple delta \
-     from the commit's write set and pushes it through each materialized \
-     plan, so the per-commit cost drops from K x O(|db|) to K x O(|delta|)@."
-    burst_n
+  report ~id:"E24" ~title:"incremental evaluation: delta-driven constraint checks per commit"
+    ~notes:
+      (Fmt.str
+         "from-scratch checking re-evaluates every compiled plan over all %d \
+          tuples per commit; the differential layer takes the one-tuple delta \
+          from the commit's write set and pushes it through each materialized \
+          plan, so the per-commit cost drops from K x O(|db|) to K x O(|delta|)"
+         burst_n)
+    [
+      (Fmt.str "commit, %d constraints, from scratch" burst_k, ns scratch_ns);
+      (Fmt.str "commit, %d constraints, differential" burst_k, ns incr_ns);
+      ("delta speedup (gate: >= 5x)", ratio (scratch_ns /. incr_ns));
+    ]
+
+(* E25: the socket gateway — pipelined throughput end to end *)
+
+let e25 () =
+  let rps = bench_gateway_rps () in
+  report ~id:"E25" ~title:"gateway throughput: pipelined clients over the socket server"
+    ~notes:"the pipelined connection loop answers every buffered frame into one corked flush, so throughput is bounded by execution, not by per-request round-trips; the CI gate floors this at 200 req/s, an absolute sanity floor rather than a machine-relative number"
+    [
+      ( Fmt.str "%d connections x %d requests, window %d" gw_clients gw_requests
+          gw_window,
+        count "req/s" rps );
+    ]
+
+(* E26: streaming temporal monitors — per-commit overhead *)
+
+let e26 () =
+  let plain = bench_monitor_commit ~monitored:false () in
+  let monitored = bench_monitor_commit ~monitored:true () in
+  report ~id:"E26" ~title:"streaming monitors: per-commit overhead on the session path"
+    ~notes:"each commit pays one delta extraction plus, per transition axiom, a two-state widened delta pushed through the materialized time-sorted plan; static axioms re-check only when their relations changed, so the overhead tracks the delta, not the database"
+    [
+      ("commit, no monitors", ns plain);
+      ("commit, 2-axiom theory monitored", ns monitored);
+      ("monitored / plain (gate: <= 3x)", ratio (monitored /. plain));
+    ]
 
 (* E27: allocation sweeps — what one commit and the recovery path's
    active domain allocate as the store grows *)
 
 let e27 () =
-  Fmt.pr "@.E27: allocation sweeps: minor-heap words at two store sizes@.";
-  Fmt.pr "----------------------------------------------------------------@.";
   let sweep name f =
     let words = List.map (fun n -> (n, f ~n)) alloc_sizes in
-    List.iter
-      (fun (n, w) -> Fmt.pr "  %-42s %12.0f words@." (Fmt.str "%s, n = %d" name n) w)
-      words;
+    List.map (fun (n, w) -> (Fmt.str "%s, n = %d" name n, count "words" w)) words
+    @
     match words with
     | [ (n0, w0); (n1, w1) ] ->
-      Fmt.pr "  %-42s %12.2fx (base n = %d)@." (Fmt.str "%s, n = %d / n = %d" name n1 n0)
-        (w1 /. w0) n0
-    | _ -> ()
+      [ (Fmt.str "%s, n = %d / n = %d" name n1 n0, ratio (w1 /. w0)) ]
+    | _ -> []
   in
-  sweep "one differential commit" bench_commit_alloc;
-  sweep "Db.active_domain" bench_active_domain_alloc;
-  Fmt.pr
-    "  shape: the commit's delta comes from its write set, so a one-tuple \
-     commit allocates the same at both sizes (gate: <= 1.5x); the active \
-     domain sorts each column once, O(n log n) (gate: <= 6x)@."
-
-(* E25: the socket gateway — pipelined throughput end to end *)
-
-let e25 () =
-  Fmt.pr "@.E25: gateway throughput: pipelined clients over the socket server@.";
-  Fmt.pr "----------------------------------------------------------------@.";
-  let rps = bench_gateway_rps () in
-  Fmt.pr "  %-42s %8.0f req/s@."
-    (Fmt.str "%d connections x %d requests, window %d" gw_clients gw_requests
-       gw_window)
-    rps;
-  Fmt.pr
-    "  shape: the pipelined connection loop answers every buffered frame into \
-     one corked flush, so throughput is bounded by execution, not by \
-     per-request round-trips; the CI gate floors this at 200 req/s \
-     (--rps-min), an absolute sanity floor rather than a machine-relative \
-     number@."
-
-(* E26: streaming temporal monitors — per-commit overhead *)
-
-let e26 () =
-  Fmt.pr "@.E26: streaming monitors: per-commit overhead on the session path@.";
-  Fmt.pr "----------------------------------------------------------------@.";
-  let plain = bench_monitor_commit ~monitored:false () in
-  let monitored = bench_monitor_commit ~monitored:true () in
-  Fmt.pr "  %-42s %a@." "commit, no monitors" pp_time plain;
-  Fmt.pr "  %-42s %a@." "commit, 2-axiom theory monitored" pp_time monitored;
-  Fmt.pr "  monitored / plain: %.2fx  (gate: <= 3x)@." (monitored /. plain);
-  Fmt.pr
-    "  shape: each commit pays one delta extraction plus, per transition \
-     axiom, a two-state widened delta pushed through the materialized \
-     time-sorted plan; static axioms re-check only when their relations \
-     changed, so the overhead tracks the delta, not the database@."
+  let commit = sweep "differential commit" bench_commit_alloc in
+  let domain = sweep "Db.active_domain" bench_active_domain_alloc in
+  report ~id:"E27" ~title:"allocation sweeps: minor-heap words at two store sizes"
+    ~notes:"the commit's delta comes from its write set, so a one-tuple commit allocates the same at both sizes (gate: <= 1.5x); the active domain sorts each column once, O(n log n) (gate: <= 6x)"
+    (commit @ domain)
 
 (* --metrics-json: run a fixed deterministic workload (the small
    university verification, one domain) from zeroed instruments and
@@ -1537,13 +1420,13 @@ let run_metrics_json () =
   let pp_counters ppf cs =
     Fmt.(
       list ~sep:(any ",@,") (fun ppf (k, n) ->
-          Fmt.pf ppf "@[\"%s\": %d@]" (json_escape k) n))
+          Fmt.pf ppf "@[%s: %d@]" (json_key k) n))
       ppf cs
   in
   let pp_hist_counts ppf hs =
     Fmt.(
       list ~sep:(any ",@,") (fun ppf (k, h) ->
-          Fmt.pf ppf "@[\"%s\": %d@]" (json_escape k) h.Metrics.h_count))
+          Fmt.pf ppf "@[%s: %d@]" (json_key k) h.Metrics.h_count))
       ppf hs
   in
   Fmt.pr

@@ -7,7 +7,7 @@
 # fire on the follower: its subscriber must receive the tagged event
 # frame and its monitor status must count exactly one violation. Then
 # measure leader commit latency with monitors attached directly vs
-# without, and gate the overhead with gate.exe --monitor-overhead-max.
+# without, and require the monitored run to take at most 3x as long.
 # Run from the repo root:
 #   bash ci/monitor-smoke.sh
 set -euo pipefail
@@ -15,10 +15,9 @@ set -euo pipefail
 rm -f leader.sock follower.sock plain.sock mon.sock \
   leader.journal follower.journal follower.journal.snap \
   leader.log follower.log plain.log mon.log sub.out \
-  monitor-smoke.theory monitor-base.json monitor-current.json
-dune build bin/fds.exe bench/gate.exe
+  monitor-smoke.theory
+dune build bin/fds.exe
 fds=_build/default/bin/fds.exe
-gate=_build/default/bench/gate.exe
 
 # The static axiom mirrors the schema's constraint; the transition
 # axiom (once offered, always offered) is the stronger promise the
@@ -97,7 +96,7 @@ cat leader.log follower.log
 
 # Leader commit latency overhead: the same warm commit stream against
 # a bare server and against one with the monitors attached directly.
-# The ratio is gated the same way the bench gate gates the E26 metric.
+# The ratio has the same 3x bound bench/gate.ml puts on the E26 metric.
 drive() { # drive SOCKET -> whole-stream nanoseconds
   seq 1 2000 \
     | awk '{printf "{\"id\": %d, \"op\": \"run\", \"calls\": [\"offer(c%d)\"]}\n", $1, $1}' \
@@ -139,13 +138,8 @@ wait "$mon"
 
 ratio=$(awk "BEGIN { printf \"%.4f\", $mon_ns / $plain_ns }")
 echo "leader commit latency: plain ${plain_ns}ns, monitored ${mon_ns}ns, ratio ${ratio}x"
-cat > monitor-base.json <<'EOF'
-{ "schema_version": 1, "cores": 1, "calibration_ns": 1.0, "metrics": {} }
-EOF
-cat > monitor-current.json <<EOF
-{ "schema_version": 1, "cores": 1, "calibration_ns": 1.0, "metrics": {},
-  "derived": { "monitor_commit_overhead": ${ratio} } }
-EOF
-$gate --baseline monitor-base.json --current monitor-current.json \
-  --monitor-overhead-max 3
+if ! awk "BEGIN { exit !($ratio <= 3) }"; then
+  echo "monitor smoke FAILED: monitored commits took ${ratio}x as long as plain ones (max 3x)" >&2
+  exit 1
+fi
 echo "monitor smoke ok"
