@@ -275,34 +275,38 @@ let rec write buf = function
       kvs;
     Buffer.add_char buf '}'
 
-(* One render buffer per domain, reused by every [to_string] on it, so
-   a whole-state reply is written without regrowing a fresh buffer. The
-   slot is empty while a rendering holds the buffer: a nested
-   [to_string] (from inside a deferred writer) gets a fresh one. A
-   buffer grown past [keep_max] bytes is dropped after use, so one huge
-   document does not pin its memory. *)
+(* One render buffer per domain, reused by every [with_rendered] on it,
+   so a whole-state reply is written without regrowing a fresh buffer.
+   The slot is empty while a rendering holds the buffer: a nested
+   [with_rendered] (from inside a deferred writer or the continuation)
+   gets a fresh one. A buffer grown past [keep_max] bytes is dropped
+   after use, so one huge document does not pin its memory. *)
 let keep_max = 4 * 1024 * 1024
 let fresh_buffer () = Buffer.create 4096
 let render_slot = Stdlib.Domain.DLS.new_key (fun () -> ref (Some (fresh_buffer ())))
 
-let to_string (v : t) : string =
+let with_rendered (v : t) (k : Buffer.t -> 'a) : 'a =
   let slot = Stdlib.Domain.DLS.get render_slot in
   match !slot with
   | None ->
     let buf = Buffer.create 256 in
     write buf v;
-    Buffer.contents buf
+    k buf
   | Some buf -> (
     slot := None;
     Buffer.clear buf;
     let release () =
       slot := Some (if Buffer.length buf > keep_max then fresh_buffer () else buf)
     in
-    match write buf v with
-    | () ->
-      let s = Buffer.contents buf in
+    match
+      write buf v;
+      k buf
+    with
+    | x ->
       release ();
-      s
+      x
     | exception e ->
       release ();
       raise e)
+
+let to_string (v : t) : string = with_rendered v Buffer.contents

@@ -48,6 +48,14 @@ val to_list_opt : t -> t list option
     allocation proportional to the document is the returned string. *)
 val to_string : t -> string
 
+(** [with_rendered v k] renders [v] as {!to_string} does into the
+    per-domain buffer and passes that buffer to [k], so a caller can
+    write the document out without copying it into a string. [k] must
+    not keep the buffer: it is cleared and reused once [k] returns. The
+    buffer is released to the next rendering on this domain even when
+    rendering or [k] raises. *)
+val with_rendered : t -> (Buffer.t -> 'a) -> 'a
+
 (** [add_string buf s] appends [Str s] as {!to_string} renders it:
     quoted and escaped. *)
 val add_string : Buffer.t -> string -> unit

@@ -120,12 +120,12 @@ let row_matches ~domain ?consts db (ps : col_pred list) (row : Value.t list) :
 (** Project a relation onto [cols] (which may permute/duplicate). *)
 let project_rel (cols : int list) (r : Relation.t) : Relation.t =
   let out_sorts = List.map (fun i -> List.nth (Relation.sorts r) i) cols in
-  Relation.fold
-    (fun row acc ->
-      let arr = Array.of_list row in
-      Relation.add (List.map (fun i -> arr.(i)) cols) acc)
-    r
-    (Relation.empty out_sorts)
+  Relation.of_list out_sorts
+    (Relation.fold
+       (fun row acc ->
+         let arr = Array.of_list row in
+         List.map (fun i -> arr.(i)) cols :: acc)
+       r [])
 
 (** Greedy index-aware n-ary join over already-evaluated inputs: seed
     with the smallest input, then repeatedly attach the smallest input

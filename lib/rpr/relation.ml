@@ -9,7 +9,10 @@
     table (O(1)-amortized membership, e.g. antijoin probes), and
     per-column value indexes (O(n + m + |output|) composition instead
     of pairwise scanning). The caches never change what is observable:
-    every operation is defined by the tuple set alone.
+    every operation is defined by the tuple set alone. The one cache
+    that survives a write is the rendered text ({!render_text}): [add]
+    and [remove] carry it into the new value with only the touched
+    chunk marked stale, so successive versions share the rest.
 
     Thread-safety: caches live in [Atomic.t] cells and are built
     fully before being published, so concurrent {!Pool} worker domains
@@ -33,8 +36,19 @@ module Tuple = struct
 end
 
 module Tuple_set = Set.Make (Tuple)
+module Tuple_map = Map.Make (Tuple)
 
 type index = (Value.t, Tuple.t list) Hashtbl.t
+
+(* A relation's rendered text, cut into chunks at split tuples: the
+   chunk under split s covers [s, next split), and the first chunk also
+   everything below the second split. A split need not be a member.
+   [None] marks a chunk a write has touched since it was rendered. The
+   text belongs to [render]: another renderer starts cold. *)
+type text = {
+  render : Buffer.t -> Tuple.t -> unit;
+  chunks : string option Tuple_map.t;  (** never empty *)
+}
 
 type t = {
   sorts : Sort.t list;  (** column sorts; the relation's arity is their length *)
@@ -43,11 +57,12 @@ type t = {
   mem_cache : (Tuple.t, unit) Hashtbl.t option Atomic.t;
   tree_probes : int Atomic.t;  (** probes answered before [mem_cache] exists *)
   col_cache : (int * index) list Atomic.t;  (** per-column value indexes *)
+  text : text option Atomic.t;  (** [None] until rendered: cold *)
 }
 
-(* Every constructor goes through [make]: derived relations start with
-   fresh (empty) caches. *)
-let make sorts tuples =
+(* Every constructor goes through [make_text]: derived relations start
+   with fresh (empty) caches, and only [add]/[remove] pass on a text. *)
+let make_text text sorts tuples =
   {
     sorts;
     tuples;
@@ -55,7 +70,10 @@ let make sorts tuples =
     mem_cache = Atomic.make None;
     tree_probes = Atomic.make 0;
     col_cache = Atomic.make [];
+    text = Atomic.make text;
   }
+
+let make sorts tuples = make_text None sorts tuples
 
 let empty sorts = make sorts Tuple_set.empty
 
@@ -64,23 +82,42 @@ let tuple_set (r : t) = r.tuples
 
 let arity (r : t) = List.length r.sorts
 
-let check_tuple (r : t) (tu : Tuple.t) =
-  if List.length tu <> arity r then
+let check_arity sorts (tu : Tuple.t) =
+  if List.compare_lengths tu sorts <> 0 then
     invalid_arg
       (Fmt.str "Relation: tuple of arity %d in relation of arity %d" (List.length tu)
-         (arity r))
+         (List.length sorts))
+
+let check_tuple (r : t) tu = check_arity r.sorts tu
+
+(* The split of the chunk [tu] falls in: the greatest split at or below
+   [tu], else the first. *)
+let chunk_of tu chunks =
+  match Tuple_map.find_last_opt (fun s -> Tuple.compare s tu <= 0) chunks with
+  | Some (s, _) -> s
+  | None -> fst (Tuple_map.min_binding chunks)
 
 (* A write that changes nothing returns [r] itself, caches included:
-   [Set.add]/[Set.remove] return their argument physically then. *)
-let rebuild (r : t) tuples = if tuples == r.tuples then r else make r.sorts tuples
+   [Set.add]/[Set.remove] return their argument physically then. A
+   write that changes [r] keeps its text with [tu]'s chunk stale. *)
+let rebuild (r : t) tu tuples =
+  if tuples == r.tuples then r
+  else
+    let text =
+      match Atomic.get r.text with
+      | None -> None
+      | Some tx ->
+        Some { tx with chunks = Tuple_map.add (chunk_of tu tx.chunks) None tx.chunks }
+    in
+    make_text text r.sorts tuples
 
 let add tu (r : t) =
   check_tuple r tu;
-  rebuild r (Tuple_set.add tu r.tuples)
+  rebuild r tu (Tuple_set.add tu r.tuples)
 
 let remove tu (r : t) =
   check_tuple r tu;
-  rebuild r (Tuple_set.remove tu r.tuples)
+  rebuild r tu (Tuple_set.remove tu r.tuples)
 
 let cardinal (r : t) = Tuple_set.cardinal r.tuples
 let is_empty (r : t) = Tuple_set.is_empty r.tuples
@@ -102,6 +139,8 @@ let mem_tree_probes = 16
    the work twice). *)
 let c_mem_index_builds = Metrics.counter "relation.mem_index_builds"
 let c_col_index_builds = Metrics.counter "relation.col_index_builds"
+let c_text_chunks_rendered = Metrics.counter "relation.text_chunks_rendered"
+let c_text_chunks_reused = Metrics.counter "relation.text_chunks_reused"
 
 (* Build (or fetch) the membership table. Publication is a one-shot
    CAS: the first builder wins and every racing peer drops its build
@@ -167,7 +206,10 @@ let singleton sorts tu =
   check_tuple r tu;
   r
 
-let of_list sorts tuples = List.fold_left (fun r tu -> add tu r) (empty sorts) tuples
+(* One relation value for the whole list, not one per tuple. *)
+let of_list sorts tuples =
+  List.iter (check_arity sorts) tuples;
+  make sorts (Tuple_set.of_list tuples)
 let to_list (r : t) = Tuple_set.elements r.tuples
 
 let union (a : t) (b : t) = make a.sorts (Tuple_set.union a.tuples b.tuples)
@@ -200,6 +242,106 @@ let hash (r : t) =
     ignore (Atomic.compare_and_set r.hash_cache (-1) h : bool);
     h
   end
+
+(* A chunk holds about [chunk_size] tuples: a re-rendered chunk of more
+   than twice that is cut into pieces of [chunk_size]. *)
+let chunk_size = 64
+let text_sep = ", "
+
+(** Append [r]'s tuples in order, each written by [render], separated
+    by [", "]. Chunks no write has touched since an ancestor version
+    was rendered by the same [render] are copied; stale ones are
+    rendered again, and the refreshed chunk map is published on [r]
+    for the versions derived from it. *)
+let render_text ~(render : Buffer.t -> Tuple.t -> unit) (buf : Buffer.t) (r : t) =
+  let cached = Atomic.get r.text in
+  let chunks =
+    match cached with
+    | Some tx when tx.render == render -> tx.chunks
+    | _ -> (
+      match Tuple_set.min_elt_opt r.tuples with
+      | None -> Tuple_map.empty
+      | Some lo -> Tuple_map.singleton lo None)
+  in
+  let fresh = ref chunks in
+  let rendered = ref 0 and reused = ref 0 in
+  let first = ref true in
+  let sep () = if !first then first := false else Buffer.add_string buf text_sep in
+  let piece split start stop =
+    fresh := Tuple_map.add split (Some (Buffer.sub buf start (stop - start))) !fresh;
+    incr rendered
+  in
+  (* Render the stale chunk under [split], up to [hi] unless it is the
+     [last], and record its text: one chunk, several when it outgrew
+     two, none when it is empty. *)
+  let rerender ~is_first ~last split hi =
+    let n = ref 0 and stop = ref 0 and cuts = ref [] in
+    let visit tu =
+      if (not last) && Tuple.compare tu hi >= 0 then raise_notrace Exit;
+      sep ();
+      if !n mod chunk_size = 0 then cuts := (tu, Buffer.length buf) :: !cuts;
+      render buf tu;
+      incr n;
+      stop := Buffer.length buf
+    in
+    (* [iter] stopped by [Exit] at [hi] allocates nothing per tuple,
+       unlike a [Seq] walk *)
+    (try
+       if is_first then Tuple_set.iter visit r.tuples
+       else begin
+         let _, present, above = Tuple_set.split split r.tuples in
+         if present then visit split;
+         Tuple_set.iter visit above
+       end
+     with Exit -> ());
+    (* [cuts] runs from the last piece back to the first, which keeps
+       the chunk's own split, except that the first chunk is re-keyed
+       by its least tuple: it may hold tuples below its old split, and
+       the splits of its later pieces must lie above its key. *)
+    let rec pieces stop = function
+      | [] -> ()
+      | [ (tu, start) ] -> piece (if is_first then tu else split) start stop
+      | (tu, start) :: rest ->
+        piece tu start stop;
+        pieces (start - String.length text_sep) rest
+    in
+    if is_first || !n = 0 then fresh := Tuple_map.remove split !fresh;
+    pieces !stop
+      (match List.rev !cuts with
+       | first :: _ when !n <= 2 * chunk_size -> [ first ]
+       | _ -> !cuts)
+  in
+  (* Walk the chunks in order, each emitted once its successor's split
+     (its upper bound) is known; refs, not options, so the walk itself
+     does not allocate. *)
+  let have = ref false and is_first = ref true in
+  let split = ref [] and chunk = ref None in
+  let emit ~last hi =
+    if !have then begin
+      (match !chunk with
+       | Some s ->
+         sep ();
+         Buffer.add_string buf s;
+         incr reused
+       | None -> rerender ~is_first:!is_first ~last !split hi);
+      is_first := false
+    end
+  in
+  Tuple_map.iter
+    (fun s c ->
+      emit ~last:false s;
+      have := true;
+      split := s;
+      chunk := c)
+    chunks;
+  emit ~last:true [];
+  Metrics.add c_text_chunks_rendered !rendered;
+  Metrics.add c_text_chunks_reused !reused;
+  if !fresh != chunks then
+    ignore
+      (Atomic.compare_and_set r.text cached
+         (if Tuple_map.is_empty !fresh then None else Some { render; chunks = !fresh })
+        : bool)
 
 (** Publish this relation's lazy caches eagerly: the extension hash and
     (above the indexing threshold) the membership table. Called once on

@@ -4,10 +4,12 @@
 
     The representation is abstract: a canonical sorted tuple set
     carrying lazily built, atomically published caches — a whole-
-    extension hash, an O(1)-amortized membership table, and per-column
-    value indexes that make {!compose} linear in its inputs. All
-    operations are defined by the tuple set alone; it is safe to share
-    relation values across {!Fdbs_kernel.Pool} worker domains. *)
+    extension hash, an O(1)-amortized membership table, per-column
+    value indexes that make {!compose} linear in its inputs, and the
+    chunked rendered text of {!render_text}, which {!add} and
+    {!remove} pass on to the next version. All operations are defined
+    by the tuple set alone; it is safe to share relation values across
+    {!Fdbs_kernel.Pool} worker domains. *)
 
 open Fdbs_kernel
 
@@ -78,6 +80,17 @@ val equal : t -> t -> bool
 (** A canonical hash of the extension, computed once per relation value
     and cached; consistent with {!equal}. *)
 val hash : t -> int
+
+(** [render_text ~render buf r] appends [r]'s tuples in order, each
+    written by [render], separated by [", "]. The text is cached on [r]
+    in chunks of about 64 tuples, and {!add} and {!remove} pass the
+    cache on with only the touched chunk stale, so rendering a version
+    one write away from a rendered one re-renders one chunk and copies
+    the rest: O(|writes| + |r| / 64) rendering work instead of O(|r|).
+    The cache is reused only for the physically same [render]; bulk
+    constructors start cold. Safe to call from several domains at
+    once: a chunk map is published whole, as the other caches are. *)
+val render_text : render:(Buffer.t -> Tuple.t -> unit) -> Buffer.t -> t -> unit
 
 (** Publish the lazy caches eagerly (extension hash, membership table
     when the relation is large enough to index). Call on a shared

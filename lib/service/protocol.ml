@@ -26,9 +26,11 @@ let value_of_json : Json.t -> Value.t option = function
   | Json.Str s -> Some (Value.Sym s)
   | _ -> None
 
-(* A state renders straight from the relations' tuple sets into the
-   reply buffer: no per-tuple tree, no element lists, no per-tuple
-   allocation. The bytes are the ones the tree {"relations": {NAME:
+(* A state renders straight from the relations into the reply buffer:
+   no per-tuple tree, no element lists. Each relation's tuples come
+   from its chunked text cache ({!Relation.render_text}), so a state
+   one commit away from a rendered one re-renders only the chunks the
+   commit touched. The bytes are the ones the tree {"relations": {NAME:
    [[v, ...], ...], ...}, "scalars": {NAME: v, ...}} would render to. *)
 let add_value buf = function
   | Value.Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -42,6 +44,13 @@ let rec add_values buf = function
     add_value buf v;
     Buffer.add_string buf ", ";
     add_values buf rest
+
+(* The one tuple renderer: a toplevel function, so every state renders
+   through the physically same closure and shares one text cache. *)
+let add_tuple buf tu =
+  Buffer.add_char buf '[';
+  add_values buf tu;
+  Buffer.add_char buf ']'
 
 let db_to_json (db : Db.t) : Json.t =
   Json.Deferred
@@ -59,15 +68,8 @@ let db_to_json (db : Db.t) : Json.t =
         Buffer.add_char buf '}'
       in
       let rel r =
-        let first = ref true in
         Buffer.add_char buf '[';
-        Relation.iter
-          (fun tu ->
-            if !first then first := false else Buffer.add_string buf ", ";
-            Buffer.add_char buf '[';
-            add_values buf tu;
-            Buffer.add_char buf ']')
-          r;
+        Relation.render_text ~render:add_tuple buf r;
         Buffer.add_char buf ']'
       in
       Buffer.add_string buf "{\"relations\": ";
@@ -173,12 +175,20 @@ let call_of_json (v : Json.t) : (Journal.call, Error.t) result =
 (* --- framing --- *)
 
 (* Write a frame into the channel's buffer without flushing — the
-   pipelined server corks a burst of responses and flushes once. *)
-let output_frame (oc : out_channel) (payload : string) : unit =
-  output_string oc (string_of_int (String.length payload));
+   pipelined server corks a burst of responses and flushes once. The
+   one envelope: [len] and a newline, the payload [body] writes, and a
+   newline. *)
+let output_envelope (oc : out_channel) len body =
+  output_string oc (string_of_int len);
   output_char oc '\n';
-  output_string oc payload;
+  body oc;
   output_char oc '\n'
+
+let output_frame (oc : out_channel) (payload : string) : unit =
+  output_envelope oc (String.length payload) (fun oc -> output_string oc payload)
+
+let output_buffer_frame (oc : out_channel) (payload : Buffer.t) : unit =
+  output_envelope oc (Buffer.length payload) (fun oc -> Buffer.output_buffer oc payload)
 
 (* --- the frame reader --- *)
 

@@ -50,8 +50,10 @@ val value_of_json : Json.t -> Value.t option
 
 (** Relations as arrays of tuples (name-sorted), scalars as a flat
     object. The result is a {!Fdbs_kernel.Json.Deferred} node: the
-    state is rendered from the relations' tuple sets when the reply is
-    written, without building a tree. *)
+    state is rendered when the reply is written, without building a
+    tree, each relation through {!Fdbs_rpr.Relation.render_text}, so
+    chunks no write touched since an earlier state was rendered are
+    copied rather than rendered again. *)
 val db_to_json : Db.t -> Json.t
 
 (** The inverse, against a schema — how a follower decodes a leader
@@ -67,6 +69,11 @@ val call_of_json : Json.t -> (Journal.call, Error.t) result
 (** Buffer a frame without flushing — callers pipelining several
     frames cork them and flush once. *)
 val output_frame : out_channel -> string -> unit
+
+(** {!output_frame} for a payload held in a buffer, written straight
+    from it: with {!Fdbs_kernel.Json.with_rendered} a reply goes from
+    the render buffer to the channel without an intermediate string. *)
+val output_buffer_frame : out_channel -> Buffer.t -> unit
 
 (** The one frame parser, used by both ends of a connection: the
     server reads requests with it and {!Client} reads replies. It works
@@ -163,6 +170,18 @@ type reply =
 (** Decode a wire error object (the ["error"] member of an
     [{"ok": false}] response) back into a structured error. *)
 val error_of_json : Json.t -> Error.t
+
+(** {!handle}, answering the response document unrendered and whether
+    the server should shut down after sending it. The server renders
+    it with {!Fdbs_kernel.Json.with_rendered} and writes it with
+    {!output_buffer_frame}. *)
+val handle_obj :
+  ?role:role ->
+  ?admit:(unit -> (unit, Error.t) result) ->
+  ?features:string list ->
+  Session.t ->
+  request ->
+  Json.t * bool
 
 (** Execute one request against a session, as [role] (default
     {!Standalone}). [admit] is the server's admission hook, charged

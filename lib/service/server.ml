@@ -360,30 +360,31 @@ let handle_frame server conn payload =
                   (Json.Obj [ ("namespace", Json.Str ns) ])))
         | "subscribe" -> handle_subscribe server conn req
         | _ ->
-          (match
-             (* Per-request budgets are rebuilt inside the handler
-                from the store config, so accounting stays exact
-                whichever worker domain serves the request; reads
-                evaluate against a shared snapshot outside the store
-                lock. *)
-             let t0 = Mclock.now_us () in
-             Fun.protect
-               ~finally:(fun () ->
-                 Metrics.observe_us h_request_us (Mclock.now_us () -. t0))
-               (fun () ->
-                 Trace.with_span ~cat:"service"
-                   ~args:[ ("op", req.Protocol.op) ]
-                   "service.request"
-                   (fun () ->
-                     Protocol.handle ~role:server.role
-                       ~admit:(admit server conn)
-                       ~features:(features_of server conn)
-                       !(conn.session) req))
-           with
-           | Protocol.Reply r -> write r
-           | Protocol.Final r ->
-             write r;
-             conn.stopping := true)))
+          (* Per-request budgets are rebuilt inside the handler from
+             the store config, so accounting stays exact whichever
+             worker domain serves the request; reads evaluate against
+             a shared snapshot outside the store lock. The reply is
+             rendered into the domain's render buffer outside the
+             write lock and written from it, so the span and the
+             request histogram cover the encode. *)
+          let t0 = Mclock.now_us () in
+          Fun.protect
+            ~finally:(fun () ->
+              Metrics.observe_us h_request_us (Mclock.now_us () -. t0))
+            (fun () ->
+              Trace.with_span ~cat:"service"
+                ~args:[ ("op", req.Protocol.op) ]
+                "service.request"
+                (fun () ->
+                  let reply, final =
+                    Protocol.handle_obj ~role:server.role
+                      ~admit:(admit server conn)
+                      ~features:(features_of server conn)
+                      !(conn.session) req
+                  in
+                  Json.with_rendered reply (fun buf ->
+                      with_wlock conn (fun () -> Protocol.output_buffer_frame oc buf));
+                  if final then conn.stopping := true))))
 
 (* [close_out_noerr] flushes buffered replies (the shutdown "bye"
    included) before closing the underlying fd. *)

@@ -349,6 +349,152 @@ let prop_model_closure =
       in
       Relation.to_list (Relation.transitive_closure r) = fix (model_of_list edges))
 
+(* ------------------------------------------------------------------ *)
+(* The chunked text cache renders what a cold relation renders         *)
+(* ------------------------------------------------------------------ *)
+
+(* Two renderers, so a stream can check that one never reuses the
+   other's cached bytes. *)
+let render_plain buf tu = Buffer.add_string buf (Fmt.str "%a" Relation.Tuple.pp tu)
+
+let render_tagged buf tu =
+  Buffer.add_char buf '<';
+  render_plain buf tu;
+  Buffer.add_char buf '>'
+
+let text ~render r =
+  let buf = Buffer.create 256 in
+  Relation.render_text ~render buf r;
+  Buffer.contents buf
+
+(* The oracle: a cold relation of the same tuples, whose render must
+   itself be the tuples' renders joined by ", ". *)
+let cold_text ~render r =
+  let cold = text ~render (Relation.of_list (Relation.sorts r) (Relation.to_list r)) in
+  let joined =
+    String.concat ", "
+      (List.map
+         (fun tu ->
+           let buf = Buffer.create 16 in
+           render buf tu;
+           Buffer.contents buf)
+         (Relation.to_list r))
+  in
+  if cold <> joined then QCheck.Test.fail_reportf "cold render %S <> %S" cold joined;
+  cold
+
+type text_op =
+  | Add of int * int
+  | Remove of int * int
+  | Remove_split of int  (** the tuple at this multiple of 64 *)
+  | Append of int  (** tuples past the largest one, hence the last split *)
+  | Clear
+  | Render
+  | Render_other
+
+let pp_text_op ppf = function
+  | Add (x, y) -> Fmt.pf ppf "add(%d,%d)" x y
+  | Remove (x, y) -> Fmt.pf ppf "remove(%d,%d)" x y
+  | Remove_split j -> Fmt.pf ppf "remove-split(%d)" j
+  | Append k -> Fmt.pf ppf "append(%d)" k
+  | Clear -> Fmt.pf ppf "clear"
+  | Render -> Fmt.pf ppf "render"
+  | Render_other -> Fmt.pf ppf "render-other"
+
+let int_tuple (x, y) = [ Value.Int x; Value.Int y ]
+
+let text_stream_gen =
+  let open QCheck.Gen in
+  let point = pair (int_range 0 400) (int_range 0 3) in
+  let op =
+    frequency
+      [
+        (6, map (fun p -> Add (fst p, snd p)) point);
+        (4, map (fun p -> Remove (fst p, snd p)) point);
+        (2, map (fun j -> Remove_split j) (int_range 0 8));
+        (2, map (fun k -> Append k) (int_range 1 150));
+        (1, return Clear);
+        (5, return Render);
+        (1, return Render_other);
+      ]
+  in
+  pair (list_size (int_range 0 400) point) (list_size (int_range 1 60) op)
+
+(* Apply [op] to [r]: every write goes through [add]/[remove], the
+   operations that carry the text cache to the new version. *)
+let apply_text_op r = function
+  | Add (x, y) -> Relation.add (int_tuple (x, y)) r
+  | Remove (x, y) -> Relation.remove (int_tuple (x, y)) r
+  | Remove_split j ->
+    let tuples = Relation.to_list r in
+    if tuples = [] then r
+    else Relation.remove (List.nth tuples (j * 64 mod List.length tuples)) r
+  | Append k ->
+    let top =
+      Relation.fold
+        (fun tu acc -> match tu with Value.Int x :: _ -> max x acc | _ -> acc)
+        r 0
+    in
+    List.fold_left (fun r i -> Relation.add (int_tuple (top + 1 + i, 0)) r) r
+      (List.init k Fun.id)
+  | Clear -> Relation.fold Relation.remove r r
+  | Render | Render_other -> r
+
+let prop_render_text_cold =
+  QCheck.Test.make ~name:"chunked render_text equals a cold render" ~count:200
+    (QCheck.make
+       ~print:(fun (init, ops) ->
+         Fmt.str "%d initial tuples; %a" (List.length init)
+           Fmt.(list ~sep:sp pp_text_op)
+           ops)
+       text_stream_gen)
+    (fun (init, ops) ->
+      let check ~render r =
+        let got = text ~render r and want = cold_text ~render r in
+        if got <> want then QCheck.Test.fail_reportf "render %S <> cold %S" got want
+      in
+      let r0 = Relation.of_list [ "a"; "b" ] (List.map int_tuple init) in
+      check ~render:render_plain r0;
+      let rendered = ref [ r0 ] in
+      let last =
+        List.fold_left
+          (fun r op ->
+            let r' = apply_text_op r op in
+            (match op with
+             | Render ->
+               check ~render:render_plain r';
+               rendered := r' :: !rendered
+             | Render_other -> check ~render:render_tagged r'
+             | _ -> ());
+            r')
+          r0 ops
+      in
+      check ~render:render_plain last;
+      (* versions share chunks; rendering a newer one never disturbs
+         an older one's text *)
+      List.iter (check ~render:render_plain) !rendered;
+      true)
+
+(* Two domains render the same partly stale value at once; each result
+   is checked, and so is the text the race left published. *)
+let prop_render_text_parallel =
+  QCheck.Test.make ~name:"concurrent render_text calls agree with the cold render"
+    ~count:50
+    (QCheck.make
+       ~print:(fun (init, ops) ->
+         Fmt.str "%d initial tuples; %a" (List.length init)
+           Fmt.(list ~sep:sp pp_text_op)
+           ops)
+       text_stream_gen)
+    (fun (init, ops) ->
+      let r0 = Relation.of_list [ "a"; "b" ] (List.map int_tuple init) in
+      ignore (text ~render:render_plain r0 : string);
+      let r = List.fold_left apply_text_op r0 ops in
+      let want = cold_text ~render:render_plain r in
+      List.for_all (String.equal want)
+        (Pool.map ~jobs:2 (fun () -> text ~render:render_plain r) [ (); () ])
+      && text ~render:render_plain r = want)
+
 (* The indexed Denote.compose agrees with the retained naive oracle. *)
 let prop_denote_compose_equiv =
   QCheck.Test.make ~name:"Denote.compose agrees with compose_naive" ~count:300
@@ -439,6 +585,8 @@ let suite =
       prop_model_equal_and_hash;
       prop_model_compose;
       prop_model_closure;
+      prop_render_text_cold;
+      prop_render_text_parallel;
       prop_denote_compose_equiv;
       prop_desugar_preserves_semantics;
       prop_strategies_agree;

@@ -241,6 +241,46 @@ let test_protocol_dispatch () =
    | Protocol.Final _ -> ()
    | Protocol.Reply _ -> Alcotest.fail "shutdown must stop the server")
 
+(* The server renders a reply into the domain's render buffer and
+   writes the frame straight from it. A write to a peer that has gone
+   raises [Sys_error] inside that rendering; the buffer must go back to
+   the domain's slot, and the next reply must render and frame
+   correctly. *)
+let test_render_slot_released () =
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let s = session_exn () in
+  ignore (run_exn s [ ("initiate", []); ("offer", [ v "cs101" ]) ] : Db.t);
+  let reply =
+    match Protocol.request_of_string {|{"id": 1, "op": "state"}|} with
+    | Ok req -> fst (Protocol.handle_obj s req)
+    | Error _ -> Alcotest.fail "state request rejected"
+  in
+  let expected =
+    {|{"id": 1, "ok": true, "result": {"relations": {"OFFERED": [["cs101"]], "TAKES": []}, "scalars": {}}}|}
+  in
+  (* the slot's buffer, identified by returning it (which the contract
+     otherwise forbids) *)
+  let slot_buffer () = Json.with_rendered Json.Null Fun.id in
+  let held = slot_buffer () in
+  let rfd, wfd = Unix.pipe () in
+  Unix.close rfd;
+  let gone = Unix.out_channel_of_descr wfd in
+  (match
+     Json.with_rendered reply (fun buf ->
+         Protocol.output_buffer_frame gone buf;
+         flush gone)
+   with
+   | () -> Alcotest.fail "a write to a closed pipe succeeded"
+   | exception Sys_error _ -> ());
+  close_out_noerr gone;
+  Alcotest.(check bool) "render slot released" true (slot_buffer () == held);
+  let rfd, wfd = Unix.pipe () in
+  let oc = Unix.out_channel_of_descr wfd in
+  Json.with_rendered reply (Protocol.output_buffer_frame oc);
+  close_out oc;
+  Alcotest.(check (list string)) "next reply renders and frames" [ expected ]
+    (frames_of_fd rfd)
+
 (* ------------------------------------------------------------------ *)
 (* replication: leader log, follower replica, failover, convergence    *)
 (* ------------------------------------------------------------------ *)
@@ -1025,6 +1065,8 @@ let suite =
     Alcotest.test_case "protocol frames round-trip" `Quick test_protocol_frames;
     Alcotest.test_case "protocol dispatch over a session" `Quick
       test_protocol_dispatch;
+    Alcotest.test_case "a failed reply write releases the render slot" `Quick
+      test_render_slot_released;
     Alcotest.test_case "replication: follower converges on the leader" `Quick
       test_replication_convergence;
     Alcotest.test_case "replication: follower rejects writes as read-only"
