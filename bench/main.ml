@@ -608,35 +608,6 @@ let bench_relation_closure () =
   in
   time_ns (fun () -> Relation.transitive_closure chain)
 
-(* Shared-snapshot ablation (E23). A parallel sweep can hand every
-   worker domain the same immutable relation — indexes built once,
-   published one-shot, probed by reference — or give each chunk its own
-   copy, which re-canonicalizes the tuple set and rebuilds every index
-   from scratch (what per-chunk store copying costs). The probe sweep
-   is the same in both arms; only snapshot handling differs. *)
-let snapshot_sorts = [ "student"; "course" ]
-
-let snapshot_tuples =
-  List.init 1024 (fun i -> [ Value.Int i; Value.Int (i mod 64) ])
-
-let snapshot_probes =
-  List.init 256 (fun i -> [ Value.Int (i * 4); Value.Int (i * 4 mod 64) ])
-  @ List.init 256 (fun i -> [ Value.Int (i + 2048); Value.Int i ])
-
-let snapshot_sweep r =
-  List.fold_left
-    (fun acc tu -> if Relation.mem tu r then acc + 1 else acc)
-    0 snapshot_probes
-
-let bench_snapshot_shared () =
-  let r = Relation.of_list snapshot_sorts snapshot_tuples in
-  Relation.warm r;
-  time_ns (fun () -> snapshot_sweep r)
-
-let bench_snapshot_copy () =
-  time_ns (fun () ->
-      snapshot_sweep (Relation.of_list snapshot_sorts snapshot_tuples))
-
 let bench_check23 ~jobs () =
   let env = Semantics.env ~domain:dom_2x2 University.representation in
   time_ns ~min_time_ns:2e8 (fun () ->
@@ -844,7 +815,9 @@ let bench_recovery () =
 let burst_k = 12
 let burst_n = 2000
 
-let burst_schema_src =
+(* [key] adds a key constraint on TAKES, a self-join: its delta rule
+   probes the TAKES a commit just wrote. *)
+let burst_schema_src ~key =
   let rels =
     List.init burst_k (Fmt.str "relation OFFERED%d(course)")
     |> String.concat "\n"
@@ -855,6 +828,12 @@ let burst_schema_src =
           "constraint guard%d: forall s:student. forall c:course. (TAKES(s, c) \
            -> OFFERED%d(c))"
           i i)
+    @ (if key then
+         [
+           "constraint key: forall s:student. forall c:course. forall d:course. \
+            ((TAKES(s, c) & TAKES(s, d)) -> c = d)";
+         ]
+       else [])
     |> String.concat "\n"
   in
   Fmt.str
@@ -874,21 +853,24 @@ let burst_domain n =
         @ List.init 64 (fun i -> v (Fmt.str "w%d" i)) );
     ]
 
+let burst_offered =
+  Relation.of_list [ "course" ] (List.map (fun c -> [ c ]) burst_courses)
+
+(* [n] students, each taking one of the courses *)
+let burst_takes n =
+  Relation.of_list [ "student"; "course" ]
+    (List.init n (fun i -> [ v (Fmt.str "s%d" i); List.nth burst_courses (i mod 8) ]))
+
 (* The burst store's initial state at [n] TAKES tuples, and a closure
    that commits the next of its alternating one-tuple enroll/leave
    transactions and answers the new state. *)
-let burst_store ~n =
-  let schema = Rparser.schema_exn burst_schema_src in
+let burst_store ?(key = false) ~n () =
+  let schema = Rparser.schema_exn (burst_schema_src ~key) in
   let env = Semantics.env ~domain:(burst_domain n) schema in
-  let offered = Relation.of_list [ "course" ] (List.map (fun c -> [ c ]) burst_courses) in
   let db =
     List.fold_left
-      (fun db i -> Db.with_relation (Fmt.str "OFFERED%d" i) offered db)
-      (Db.with_relation "TAKES"
-         (Relation.of_list [ "student"; "course" ]
-            (List.init n (fun i ->
-                 [ v (Fmt.str "s%d" i); List.nth burst_courses (i mod 8) ])))
-         (Schema.empty_db schema))
+      (fun db i -> Db.with_relation (Fmt.str "OFFERED%d" i) burst_offered db)
+      (Db.with_relation "TAKES" (burst_takes n) (Schema.empty_db schema))
       (List.init burst_k Fun.id)
   in
   let txn = Txn.make env in
@@ -910,8 +892,8 @@ let burst_store ~n =
   in
   (db, commit)
 
-let bench_constraint_burst ~incremental () =
-  let _, commit = burst_store ~n:burst_n in
+let bench_constraint_burst ?key ?(n = burst_n) ~incremental () =
+  let _, commit = burst_store ?key ~n () in
   Planner.set_materialization incremental;
   Planner.clear ();
   (* time_ns's warm-up call pays the one cold materialization miss *)
@@ -940,11 +922,12 @@ let median_of_16 ~warm words =
   let ws = List.init 16 (fun _ -> words ()) |> List.sort Float.compare in
   (List.nth ws 7 +. List.nth ws 8) /. 2.
 
-(* Words one warm differential [Txn.run] of the E24 burst allocates:
-   the median over 16 commits (8 enrolls, 8 leaves) after 16 warm-up
-   commits, which pay the cold materializations. *)
-let bench_commit_alloc ~n =
-  let _, commit = burst_store ~n in
+(* Words one warm differential [Txn.run] of the E24 burst allocates
+   (with [key], of the burst plus the key constraint): the median over
+   16 commits (8 enrolls, 8 leaves) after 16 warm-up commits, which pay
+   the cold materializations. *)
+let bench_commit_alloc ?key ~n () =
+  let _, commit = burst_store ?key ~n () in
   Planner.clear ();
   let words =
     median_of_16 ~warm:(fun () -> ignore (commit () : Db.t)) (fun () -> minor_words commit)
@@ -957,7 +940,7 @@ let bench_commit_alloc ~n =
    16 commits after 16 warm-up commits, the first of which renders
    cold. *)
 let bench_reply_alloc ~n =
-  let _, commit = burst_store ~n in
+  let _, commit = burst_store ~n () in
   Planner.clear ();
   let render db =
     Json.with_rendered
@@ -985,7 +968,7 @@ let bench_reply_alloc ~n =
 (* Words [Db.active_domain] allocates over the same store: the recovery
    path's domain computation. *)
 let bench_active_domain_alloc ~n =
-  let db, _ = burst_store ~n in
+  let db, _ = burst_store ~n () in
   minor_words (fun () -> Db.active_domain db)
 
 (* Gateway throughput (E25). Boot the real [Server.serve] on a Unix
@@ -1088,7 +1071,7 @@ let bench_gateway_rps () =
    layer per commit — not the violation path. *)
 let monitor_schema_src =
   {|
-schema watched
+schema guarded
 
 relation OFFERED(course)
 relation TAKES(student, course)
@@ -1100,6 +1083,9 @@ proc initiate() =
 
 proc offer(c: course) = insert OFFERED(c)
 
+proc retract(c: course) =
+  if (~(exists s:student. TAKES(s, c))) then delete OFFERED(c)
+
 proc enroll(s: student, c: course) =
   if (OFFERED(c)) then insert TAKES(s, c)
 
@@ -1110,7 +1096,7 @@ end-schema
 
 let monitor_theory_src =
   {|
-theory watched
+theory guarded
 
 sort course
 sort student
@@ -1167,6 +1153,44 @@ let bench_monitor_commit ~monitored () =
   | _ -> ());
   per_commit
 
+(* Words one monitored commit allocates (E27): the guarded schema at
+   [n] TAKES tuples, its theory's monitors advanced by every commit
+   through the [Txn] commit hook, and commits that alternately offer
+   and retract a course no student takes. Each retract violates
+   [no_retract], and each changes OFFERED under both axioms' antijoins,
+   whose readmit and retract rules then look TAKES up by course. The
+   median over 16 commits after 16 warm-up commits. *)
+let bench_monitor_alloc ~n =
+  let schema = Rparser.schema_exn monitor_schema_src in
+  let spare = v "spare" in
+  let domain =
+    Domain.union (burst_domain n) (Domain.of_list [ ("course", [ spare ]) ])
+  in
+  let mon =
+    match Monitor.compile ~schema (Tparser.theory_exn monitor_theory_src) with
+    | Ok m -> m
+    | Error _ -> invalid_arg "bench: monitor compile failed"
+  in
+  let db =
+    Db.with_relation "OFFERED" burst_offered
+      (Db.with_relation "TAKES" (burst_takes n) (Schema.empty_db schema))
+  in
+  Monitor.attach mon db;
+  let on_commit ~before ~after = Ok (snd (Monitor.check mon ~domain ~before ~after)) in
+  let txn = Txn.make ~on_commit (Semantics.env ~domain schema) in
+  let state = ref db and tick = ref 0 in
+  let commit () =
+    incr tick;
+    let call = ((if !tick mod 2 = 1 then "offer" else "retract"), [ spare ]) in
+    match Txn.run txn [ call ] !state with
+    | Ok db' -> state := db'
+    | Error _ -> invalid_arg "bench: monitored commit rolled back"
+  in
+  Planner.clear ();
+  let words = median_of_16 ~warm:commit (fun () -> minor_words commit) in
+  Planner.clear ();
+  words
+
 (* A report key as a JSON string, through the writer the gate and the
    protocol share. *)
 let json_key k =
@@ -1184,8 +1208,6 @@ let run_json () =
       ("check23_jobs1", bench_check23 ~jobs:1 ());
       ("check23_jobs2", bench_check23 ~jobs:2 ());
       ("check23_jobs4", bench_check23 ~jobs:4 ());
-      ("snapshot_shared_sweep", bench_snapshot_shared ());
-      ("snapshot_copy_sweep", bench_snapshot_copy ());
       ("planner_quantified_naive", bench_planner_quantified ~strategy:`Naive ());
       ("planner_quantified_compiled", bench_planner_quantified ~strategy:`Compiled ());
       ("constraint_check_naive", bench_constraint_check ~strategy:`Naive ());
@@ -1221,10 +1243,6 @@ let run_json () =
          domains; jobs2 must not regress) *)
       ("check23_speedup_jobs2", get "check23_jobs1" /. get "check23_jobs2");
       ("check23_speedup_jobs4", get "check23_jobs1" /. get "check23_jobs4");
-      (* shared warm snapshot vs per-chunk copy rebuild — the E23
-         ablation *)
-      ( "snapshot_share_speedup",
-        get "snapshot_copy_sweep" /. get "snapshot_shared_sweep" );
       ( "planner_quantified_speedup",
         get "planner_quantified_naive" /. get "planner_quantified_compiled" );
       ( "constraint_check_speedup",
@@ -1265,9 +1283,11 @@ let run_json () =
     List.concat_map
       (fun n ->
         [
-          (Fmt.str "commit_alloc_n%dk" (n / 1000), bench_commit_alloc ~n);
+          (Fmt.str "commit_alloc_n%dk" (n / 1000), bench_commit_alloc ~n ());
           (Fmt.str "active_domain_alloc_n%dk" (n / 1000), bench_active_domain_alloc ~n);
           (Fmt.str "reply_alloc_n%dk" (n / 1000), bench_reply_alloc ~n);
+          (Fmt.str "selfjoin_alloc_n%dk" (n / 1000), bench_commit_alloc ~key:true ~n ());
+          (Fmt.str "monitor_alloc_n%dk" (n / 1000), bench_monitor_alloc ~n);
         ])
       alloc_sizes
   in
@@ -1287,6 +1307,12 @@ let run_json () =
         (* gated by gate.ml (<= 1.5): rendering a commit reply re-renders
            only the chunks the commit touched, whatever the store size *)
         ("reply_alloc_ratio", alloc_ratio "reply_alloc");
+        (* gated by gate.ml (<= 1.5): a commit checked by a key
+           constraint, whose self-join probes the relation the commit
+           wrote, and a monitored commit whose antijoins readmit and
+           retract by key, must both cost O(|delta|) too *)
+        ("selfjoin_alloc_ratio", alloc_ratio "selfjoin_alloc");
+        ("monitor_alloc_ratio", alloc_ratio "monitor_alloc");
       ]
   in
   let pp_fields ppf fields =
@@ -1358,21 +1384,18 @@ let e22 () =
       ("snapshot-bounded speedup", ratio (full /. snapshot));
     ]
 
-(* E23: the parallel refinement sweep — work-stealing speedups and the
-   shared-snapshot ablation *)
+(* E23: the parallel refinement sweep — work-stealing speedups *)
 
 let e23 () =
   let j1 = bench_check23 ~jobs:1 () in
   let j2 = bench_check23 ~jobs:2 () in
   let j4 = bench_check23 ~jobs:4 () in
-  let shared = bench_snapshot_shared () in
-  let copy = bench_snapshot_copy () in
-  report ~id:"E23" ~title:"work-stealing Pool: Check23 speedups and snapshot sharing"
+  report ~id:"E23" ~title:"work-stealing Pool: Check23 speedups"
     ~notes:
       (Fmt.str
          "persistent worker domains + work stealing remove the per-map spawn and \
-          straggler barrier; sharing the immutable snapshot removes the per-chunk \
-          index rebuild. Speedups need real cores (this machine: %d); the CI gate \
+          straggler barrier; every domain reads the one immutable snapshot. \
+          Speedups need real cores (this machine: %d); the CI gate \
           requires >= 1.5x at 4 domains on a runner with >= 4 cores"
          (Pool.recommended_jobs ()))
     [
@@ -1381,9 +1404,6 @@ let e23 () =
       ("check23 sweep, 4 domains", ns j4);
       ("check23 speedup, 2 domains", ratio (j1 /. j2));
       ("check23 speedup, 4 domains", ratio (j1 /. j4));
-      ("probe sweep, shared warm snapshot", ns shared);
-      ("probe sweep, per-chunk copy rebuild", ns copy);
-      ("shared-snapshot speedup", ratio (copy /. shared));
     ]
 
 (* E24: incremental evaluation — differential constraint checks on a
@@ -1392,19 +1412,25 @@ let e23 () =
 let e24 () =
   let incr_ns = bench_constraint_burst ~incremental:true () in
   let scratch_ns = bench_constraint_burst ~incremental:false () in
+  let with_key n =
+    ( Fmt.str "commit, %d constraints + key, n = %d" burst_k n,
+      ns (bench_constraint_burst ~key:true ~n ~incremental:true ()) )
+  in
   report ~id:"E24" ~title:"incremental evaluation: delta-driven constraint checks per commit"
     ~notes:
       (Fmt.str
          "from-scratch checking re-evaluates every compiled plan over all %d \
           tuples per commit; the differential layer takes the one-tuple delta \
           from the commit's write set and pushes it through each materialized \
-          plan, so the per-commit cost drops from K x O(|db|) to K x O(|delta|)"
+          plan, so the per-commit cost drops from K x O(|db|) to K x O(|delta|); \
+          with a key constraint, a self-join of the written relation, too"
          burst_n)
-    [
-      (Fmt.str "commit, %d constraints, from scratch" burst_k, ns scratch_ns);
-      (Fmt.str "commit, %d constraints, differential" burst_k, ns incr_ns);
-      ("delta speedup (gate: >= 5x)", ratio (scratch_ns /. incr_ns));
-    ]
+    ([
+       (Fmt.str "commit, %d constraints, from scratch" burst_k, ns scratch_ns);
+       (Fmt.str "commit, %d constraints, differential" burst_k, ns incr_ns);
+       ("delta speedup (gate: >= 5x)", ratio (scratch_ns /. incr_ns));
+     ]
+    @ List.map with_key [ 2000; 8000; 32000 ])
 
 (* E25: the socket gateway — pipelined throughput end to end *)
 
@@ -1444,12 +1470,16 @@ let e27 () =
       [ (Fmt.str "%s, n = %d / n = %d" name n1 n0, ratio (w1 /. w0)) ]
     | _ -> []
   in
-  let commit = sweep "differential commit" bench_commit_alloc in
+  let commit = sweep "differential commit" (fun ~n -> bench_commit_alloc ~n ()) in
   let domain = sweep "Db.active_domain" bench_active_domain_alloc in
   let reply = sweep "commit reply render" bench_reply_alloc in
+  let selfjoin =
+    sweep "commit with a key constraint" (fun ~n -> bench_commit_alloc ~key:true ~n ())
+  in
+  let monitor = sweep "monitored offer/retract commit" bench_monitor_alloc in
   report ~id:"E27" ~title:"allocation sweeps: minor-heap words at two store sizes"
-    ~notes:"the commit's delta comes from its write set, so a one-tuple commit allocates the same at both sizes (gate: <= 1.5x); the active domain sorts each column once, O(n log n) (gate: <= 6x); a commit reply re-renders only the text chunks the commit touched (gate: <= 1.5x)"
-    (commit @ domain @ reply)
+    ~notes:"the commit's delta comes from its write set, so a one-tuple commit allocates the same at both sizes (gate: <= 1.5x); the active domain sorts each column once, O(n log n) (gate: <= 6x); a commit reply re-renders only the text chunks the commit touched (gate: <= 1.5x); a key constraint's self-join and a monitor's antijoins look the written relation up through column indexes the commit carried forward (gates: <= 1.5x)"
+    (commit @ domain @ reply @ selfjoin @ monitor)
 
 (* --metrics-json: run a fixed deterministic workload (the small
    university verification, one domain) from zeroed instruments and

@@ -310,16 +310,6 @@ let check ?(limit = 2_000) ?config (spec : Spec.t) (env : Semantics.env)
         exec_error = Some e;
       }
     | dbs, truncated ->
-      (* Shared-snapshot prewarm: the reachable databases are immutable
-         and shared by reference across the sweep's worker domains.
-         Publishing every relation's hash and membership index once,
-         here, means peers probe published indexes instead of racing to
-         build duplicates per chunk. Skipped for sequential runs, where
-         lazy building on first probe is already optimal. *)
-      let eff_jobs =
-        match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-      in
-      if eff_jobs > 1 then List.iter Db.warm dbs;
       let units =
         List.concat_map
           (fun (eq : Equation.t) ->

@@ -169,13 +169,6 @@ let check ?(limit = 2_000) ?config (spec : Spec.t) (env : Semantics.env)
   match Check23.reachable_dbs env k sg2 ~limit with
   | exception Invalid_argument e -> fail e
   | dbs, _truncated ->
-    (* Shared-snapshot prewarm, as in {!Check23.check}: publish each
-       reachable state's relation indexes once before the per-equation
-       parallel sweeps repeatedly probe them across domains. *)
-    let eff_jobs =
-      match jobs with Some j -> max 1 j | None -> Pool.default_jobs ()
-    in
-    if eff_jobs > 1 then List.iter Db.warm dbs;
     let rec go acc = function
       | [] -> Ok (List.rev acc)
       | (eq : Equation.t) :: rest ->

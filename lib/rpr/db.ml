@@ -59,12 +59,6 @@ let active_domain (db : t) : Domain.t =
 (** Total number of tuples across all relations. *)
 let size (db : t) = SMap.fold (fun _ rel n -> n + Relation.cardinal rel) db.relations 0
 
-(** Warm every relation's lazy caches ({!Relation.warm}). Databases are
-    immutable, so a warmed state is a {e shared snapshot}: parallel
-    readers take it by reference and probe the published indexes
-    instead of rebuilding them per worker domain. *)
-let warm (db : t) = SMap.iter (fun _ rel -> Relation.warm rel) db.relations
-
 let pp ppf (db : t) =
   let pp_rel ppf (name, rel) = Fmt.pf ppf "@[%s = %a@]" name Relation.pp rel in
   let pp_scalar ppf (name, v) = Fmt.pf ppf "@[%s := %a@]" name Value.pp v in

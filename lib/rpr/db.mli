@@ -38,12 +38,6 @@ val active_domain : t -> Domain.t
 (** Total number of tuples across all relations. *)
 val size : t -> int
 
-(** Warm every relation's lazy caches ({!Relation.warm}). States are
-    immutable, so a warmed state is a shared snapshot: parallel readers
-    take it by reference and probe published indexes instead of
-    rebuilding them per worker domain. *)
-val warm : t -> unit
-
 val pp : t Fmt.t
 
 (** A canonical digest for deduplication in state-space exploration. *)

@@ -84,47 +84,54 @@ let with_scalars ~(before : Db.t) ~(after : Db.t) (d : t) : t =
   let changed = scalars_differ before after in
   if Bool.equal changed d.scalars_changed then d else { d with scalars_changed = changed }
 
+(* The last delta a commit recorded, with its two states. *)
+let remembered : (Db.t * Db.t * t) option Stdlib.Domain.DLS.key =
+  Stdlib.Domain.DLS.new_key (fun () -> None)
+
+let remember ~(before : Db.t) ~(after : Db.t) (d : t) =
+  Stdlib.Domain.DLS.set remembered (Some (before, after, d))
+
 (** The exact difference taking [before] to [after]. Relations shared
     by reference between the two states are skipped without comparison:
     [Txn] commits rebind only the updated names, so this is O(changed
     relations), not O(db). *)
 let of_dbs ~(before : Db.t) ~(after : Db.t) : t =
-  let inserts = ref SMap.empty and deletes = ref SMap.empty in
-  SMap.iter
-    (fun name ra ->
-      match SMap.find_opt name before.Db.relations with
-      | Some rb when rb == ra -> ()
-      | Some rb ->
-        let ins = Relation.diff ra rb and del = Relation.diff rb ra in
-        if not (Relation.is_empty ins) then inserts := SMap.add name ins !inserts;
-        if not (Relation.is_empty del) then deletes := SMap.add name del !deletes
-      | None ->
-        if not (Relation.is_empty ra) then inserts := SMap.add name ra !inserts)
-    after.Db.relations;
-  SMap.iter
-    (fun name rb ->
-      if (not (SMap.mem name after.Db.relations)) && not (Relation.is_empty rb)
-      then deletes := SMap.add name rb !deletes)
-    before.Db.relations;
-  { inserts = !inserts; deletes = !deletes; scalars_changed = scalars_differ before after }
+  match Stdlib.Domain.DLS.get remembered with
+  | Some (b, a, d) when b == before && a == after -> d
+  | _ ->
+    let inserts = ref SMap.empty and deletes = ref SMap.empty in
+    SMap.iter
+      (fun name ra ->
+        match SMap.find_opt name before.Db.relations with
+        | Some rb when rb == ra -> ()
+        | Some rb ->
+          let ins = Relation.diff ra rb and del = Relation.diff rb ra in
+          if not (Relation.is_empty ins) then inserts := SMap.add name ins !inserts;
+          if not (Relation.is_empty del) then deletes := SMap.add name del !deletes
+        | None ->
+          if not (Relation.is_empty ra) then inserts := SMap.add name ra !inserts)
+      after.Db.relations;
+    SMap.iter
+      (fun name rb ->
+        if (not (SMap.mem name after.Db.relations)) && not (Relation.is_empty rb)
+        then deletes := SMap.add name rb !deletes)
+      before.Db.relations;
+    { inserts = !inserts; deletes = !deletes; scalars_changed = scalars_differ before after }
 
 (** Apply the relational part of a delta to a state (scalars are not
-    carried by a delta and pass through unchanged). *)
+    carried by a delta and pass through unchanged). Each written
+    relation is patched, so it keeps its column indexes and text. *)
 let apply (d : t) (db : Db.t) : Db.t =
-  let db =
-    SMap.fold
-      (fun name del db ->
-        match Db.relation db name with
-        | Some r -> Db.with_relation name (Relation.diff r del) db
-        | None -> db)
-      d.deletes db
-  in
   SMap.fold
-    (fun name ins db ->
-      match Db.relation db name with
-      | Some r -> Db.with_relation name (Relation.union r ins) db
-      | None -> Db.with_relation name ins db)
-    d.inserts db
+    (fun name (ins, del) db ->
+      match (Db.relation db name, ins) with
+      | Some r, _ ->
+        let side = Option.value ~default:(Relation.empty (Relation.sorts r)) in
+        Db.with_relation name (Relation.patch ~ins:(side ins) ~del:(side del) r) db
+      | None, Some ins -> Db.with_relation name ins db
+      | None, None -> db)
+    (SMap.merge (fun _ ins del -> Some (ins, del)) d.inserts d.deletes)
+    db
 
 (** Sequential composition: the delta of applying [d1] then [d2].
     Exact under the disjointness invariants: a tuple deleted by [d1]
@@ -240,6 +247,25 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
   let matches ps row = Relalg.row_matches ~domain ?consts after ps row in
   let key args row = Relalg.arg_values ~domain ?consts after args row in
   let joinr rels ps = Relalg.join_rels ~domain ?consts after rels ps in
+  (* The rows of [r] whose [args] key is in [keys]: each key looked up
+     through the first column it reads, the rest of it checked on the
+     rows found. A key that reads no column is every row's key. *)
+  let keyed args keys r =
+    match
+      List.find_mapi
+        (fun i -> function Relalg.Acol c -> Some (i, c) | Relalg.Aterm _ -> None)
+        args
+    with
+    | None -> if Relation.mem (key args []) keys then r else Relation.empty (Relation.sorts r)
+    | Some (i, col) ->
+      Relation.fold
+        (fun k acc ->
+          Relation.find_by ~col (List.nth k i) r
+          |> Relation.filter (fun row -> Relation.Tuple.equal (key args row) k)
+          |> Relation.union acc)
+        keys
+        (Relation.empty (Relation.sorts r))
+  in
   let rec go (e : Relalg.expr) (n : node) : node * Relation.t * Relation.t =
     let none = Relation.empty (Relation.sorts n.out) in
     match (e, n.kids) with
@@ -256,33 +282,28 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
       let k', ins1, del1 = go e1 k in
       let ins = Relation.filter (matches ps) ins1
       and del = Relation.filter (matches ps) del1 in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = Relation.patch ~ins ~del n.out in
       ({ out; kids = [ k' ] }, ins, del)
     | Relalg.Project (cols, e1), [ k ] ->
       let k', ins1, del1 = go e1 k in
       let ins = Relation.diff (Relalg.project_rel cols ins1) n.out in
       let del =
         if Relation.is_empty del1 then none
-        else begin
+        else
           (* a projected tuple leaves only when no remaining child row
-             still derives it: one scan of the new child output *)
-          let cand = Relalg.project_rel cols del1 in
-          let arr_project row =
-            let arr = Array.of_list row in
-            List.map (fun i -> arr.(i)) cols
+             still derives it: the child rows holding its first
+             projected value are the only ones that might *)
+          let derived p =
+            match cols with
+            | [] -> not (Relation.is_empty k'.out)
+            | col :: _ ->
+              Relation.exists
+                (fun row -> Relation.Tuple.equal (Relalg.project_row cols row) p)
+                (Relation.find_by ~col (List.hd p) k'.out)
           in
-          let survivors =
-            Relation.fold
-              (fun row acc ->
-                let p = arr_project row in
-                if Relation.mem p cand then Relation.add p acc else acc)
-              k'.out
-              (Relation.empty (Relation.sorts cand))
-          in
-          Relation.diff cand survivors
-        end
+          Relation.filter (fun p -> not (derived p)) (Relalg.project_rel cols del1)
       in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = Relation.patch ~ins ~del n.out in
       ({ out; kids = [ k' ] }, ins, del)
     | Relalg.Product (a, b), [ ka; kb ] ->
       let ka', insA, delA = go a ka and kb', insB, delB = go b kb in
@@ -293,7 +314,7 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
       let ins = Relation.union (prod insA kb'.out) (prod ka'.out insB) in
       let del = Relation.union (prod delA kb.out) (prod ka.out delB) in
       let ins = Relation.diff ins n.out in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = Relation.patch ~ins ~del n.out in
       ({ out; kids = [ ka'; kb' ] }, ins, del)
     | Relalg.Union (a, b), [ ka; kb ] ->
       let ka', insA, delA = go a ka and kb', insB, delB = go b kb in
@@ -303,7 +324,7 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
           (Relation.filter (fun t -> not (Relation.mem t kb'.out)) delA)
           (Relation.filter (fun t -> not (Relation.mem t ka'.out)) delB)
       in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = Relation.patch ~ins ~del n.out in
       ({ out; kids = [ ka'; kb' ] }, ins, del)
     | Relalg.Join (inputs, ps), kids ->
       let advanced = List.map2 go inputs kids in
@@ -327,7 +348,7 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
           (none, 0) advanced
         |> fst
       in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = Relation.patch ~ins ~del n.out in
       ({ out; kids = kids' }, ins, del)
     | Relalg.Antijoin (e1, sub, args), [ ke; ks ] ->
       let ke', insE, delE = go e1 ke and ks', insS, delS = go sub ks in
@@ -337,18 +358,16 @@ let advance ~domain ?consts ~(after : Db.t) (d : t) (e : Relalg.expr)
         if Relation.is_empty delS then from_e
         else
           (* keys retracted from the subplan readmit their rows *)
-          Relation.union from_e
-            (Relation.filter (fun t -> Relation.mem (key args t) delS) ke'.out)
+          Relation.union from_e (keyed args delS ke'.out)
       in
       let del =
         let from_e = Relation.inter delE n.out in
         if Relation.is_empty insS then from_e
         else
           (* keys newly in the subplan retract their rows *)
-          Relation.union from_e
-            (Relation.filter (fun t -> Relation.mem (key args t) insS) n.out)
+          Relation.union from_e (keyed args insS n.out)
       in
-      let out = Relation.union (Relation.diff n.out del) ins in
+      let out = Relation.patch ~ins ~del n.out in
       ({ out; kids = [ ke'; ks' ] }, ins, del)
     | _ -> raise Not_incremental
   in

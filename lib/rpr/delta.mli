@@ -37,8 +37,17 @@ val cardinal : t -> int
     by reference between the two states are skipped, so cost is
     proportional to the changed relations. Commits take their delta
     from the write set instead ({!Semantics.exec}); this is the
-    oracle the write sets are tested against. *)
+    oracle the write sets are tested against. On the two states last
+    passed to {!remember} on this domain (compared physically), it
+    answers the remembered delta without diffing them. *)
 val of_dbs : before:Db.t -> after:Db.t -> t
+
+(** [remember ~before ~after d] records [d], which must equal the diff
+    of the two states, for {!of_dbs}. {!Txn.run} records each commit's
+    write-set delta before its commit hook runs, so a hook that diffs
+    the commit's two states (a monitor) pays O(|d|), not O(|changed
+    relations|). One record per domain; the next replaces it. *)
+val remember : before:Db.t -> after:Db.t -> t -> unit
 
 (** [inserted name r]: the tuples of [r], absent before, inserted into
     relation [name]; [deleted name r]: the tuples of [r], present

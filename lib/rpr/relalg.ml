@@ -117,15 +117,15 @@ let row_matches ~domain ?consts db (ps : col_pred list) (row : Value.t list) :
              (arg_value ~domain ?consts db row b)))
     ps
 
+(** A row's values at [cols], in that order. *)
+let project_row (cols : int list) (row : Value.t list) : Value.t list =
+  let arr = Array.of_list row in
+  List.map (fun i -> arr.(i)) cols
+
 (** Project a relation onto [cols] (which may permute/duplicate). *)
 let project_rel (cols : int list) (r : Relation.t) : Relation.t =
   let out_sorts = List.map (fun i -> List.nth (Relation.sorts r) i) cols in
-  Relation.of_list out_sorts
-    (Relation.fold
-       (fun row acc ->
-         let arr = Array.of_list row in
-         List.map (fun i -> arr.(i)) cols :: acc)
-       r [])
+  Relation.of_list out_sorts (Relation.fold (fun row acc -> project_row cols row :: acc) r [])
 
 (** Greedy index-aware n-ary join over already-evaluated inputs: seed
     with the smallest input, then repeatedly attach the smallest input
@@ -204,8 +204,10 @@ let join_rels ~domain ?consts db (rels : Relation.t list)
           | Some (rowpos, col) ->
             List.concat_map
               (fun row ->
-                Relation.find_by ~col row.(rowpos) rel
-                |> List.map (fun t -> Array.append row (Array.of_list t)))
+                Relation.fold
+                  (fun t acc -> Array.append row (Array.of_list t) :: acc)
+                  (Relation.find_by ~col row.(rowpos) rel)
+                  [])
               !rows
           | None ->
             List.concat_map
@@ -224,26 +226,31 @@ let join_rels ~domain ?consts db (rels : Relation.t list)
     let constant = take_available () in
     if not (List.for_all (holds [||]) constant) then Relation.empty out_sorts
     else begin
-      let argmin f ks =
-        match ks with
-        | [] -> invalid_arg "Relalg.join: no input"
-        | k0 :: rest ->
-          fst
-            (List.fold_left
-               (fun (best, c) k ->
-                 let ck = f k in
-                 if ck < c then (k, ck) else (best, c))
-               (k0, f k0) rest)
+      (* Whether input [a] has fewer tuples than [b], walking both only
+         as far as the smaller: a delta join weighs a one-tuple input
+         against a whole relation, which [cardinal] would walk. *)
+      let fewer a b =
+        let rec go sa sb =
+          match (sa (), sb ()) with
+          | Seq.Nil, Seq.Cons _ -> true
+          | _, Seq.Nil -> false
+          | Seq.Cons (_, sa), Seq.Cons (_, sb) -> go sa sb
+        in
+        let seq k = Relation.Tuple_set.to_seq (Relation.tuple_set rels.(k)) in
+        go (seq a) (seq b)
       in
-      let card k = Relation.cardinal rels.(k) in
+      let smallest = function
+        | [] -> invalid_arg "Relalg.join: no input"
+        | k0 :: rest -> List.fold_left (fun best k -> if fewer k best then k else best) k0 rest
+      in
       while Array.exists not placed do
         let unplaced =
           List.filter (fun k -> not placed.(k)) (List.init n Fun.id)
         in
         let linked = List.filter links_to unplaced in
         let pick =
-          if !width_placed = 0 || linked = [] then argmin card unplaced
-          else argmin card linked
+          if !width_placed = 0 || linked = [] then smallest unplaced
+          else smallest linked
         in
         place pick
       done;
@@ -263,21 +270,20 @@ let eval ~domain ?consts (db : Db.t) (e : expr) : Relation.t =
   let term_value t = term_value ~domain ?consts db t in
   let arg_value row a = arg_value ~domain ?consts db row a in
   let matches ps row = row_matches ~domain ?consts db ps row in
-  (* A join input's rows restricted by a constant-column equality go
-     through the relation's column index instead of a scan. *)
+  (* A relation's rows restricted by a constant-column equality are the
+     relation's column lookup, with any other predicate filtered on
+     it, instead of a scan. *)
   let indexed_select ps (rel : Relation.t) : Relation.t =
     let ground = function
       | Eq (Acol i, Aterm t) | Eq (Aterm t, Acol i) -> Some (i, t)
       | Eq _ | Neq _ -> None
     in
     match List.find_map ground ps with
-    | Some (col, t) ->
-      let rest = List.filter (fun p -> ground p <> Some (col, t)) ps in
-      let rows =
-        Relation.find_by ~col (term_value t) rel
-        |> List.filter (fun row -> matches rest row)
-      in
-      Relation.of_list (Relation.sorts rel) rows
+    | Some (col, t) -> (
+      let rows = Relation.find_by ~col (term_value t) rel in
+      match List.filter (fun p -> ground p <> Some (col, t)) ps with
+      | [] -> rows
+      | rest -> Relation.filter (fun row -> matches rest row) rows)
     | None -> Relation.filter (fun row -> matches ps row) rel
   in
   let rec go : expr -> Relation.t = function

@@ -77,6 +77,9 @@ val arg_values :
   Value.t list ->
   Value.t list
 
+(** A row's values at [cols], in that order. *)
+val project_row : int list -> Value.t list -> Value.t list
+
 val project_rel : int list -> Relation.t -> Relation.t
 
 val join_rels :

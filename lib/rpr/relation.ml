@@ -3,16 +3,17 @@
     (paper Section 5.1).
 
     The representation is a canonical sorted set of tuples (so
-    structural equality needs no re-sorting) carrying lazily built,
-    atomically published caches: a hash of the whole extension (for
-    O(1) database-state hashing in fixpoint exploration), a tuple hash
-    table (O(1)-amortized membership, e.g. antijoin probes), and
-    per-column value indexes (O(n + m + |output|) composition instead
-    of pairwise scanning). The caches never change what is observable:
-    every operation is defined by the tuple set alone. The one cache
-    that survives a write is the rendered text ({!render_text}): [add]
-    and [remove] carry it into the new value with only the touched
-    chunk marked stale, so successive versions share the rest.
+    structural equality needs no re-sorting, and membership and
+    column-0 lookups are O(log n) from its order) carrying lazily
+    built, atomically published caches: a hash of the whole extension
+    (for O(1) database-state hashing in fixpoint exploration), a
+    membership table for values probed often, per-column value indexes
+    for the other columns, and the rendered text ({!render_text}). The
+    caches never change what is observable: every operation is defined
+    by the tuple set alone. The indexes and the text survive writes:
+    [add], [remove] and [patch] carry them into the new value in
+    O(|writes| log n), so successive versions share all but the
+    touched paths.
 
     Thread-safety: caches live in [Atomic.t] cells and are built
     fully before being published, so concurrent {!Pool} worker domains
@@ -38,7 +39,11 @@ end
 module Tuple_set = Set.Make (Tuple)
 module Tuple_map = Map.Make (Tuple)
 
-type index = (Value.t, Tuple.t list) Hashtbl.t
+module Value_map = Map.Make (Value)
+
+(* Column c's index, in slot c - 1: each value to the tuples holding it
+   there. Column 0 needs none: the tuple set is ordered by it. *)
+type index = Tuple_set.t Value_map.t array
 
 (* A relation's rendered text, cut into chunks at split tuples: the
    chunk under split s covers [s, next split), and the first chunk also
@@ -53,27 +58,20 @@ type text = {
 type t = {
   sorts : Sort.t list;  (** column sorts; the relation's arity is their length *)
   tuples : Tuple_set.t;
-  hash_cache : int Atomic.t;  (** [-1] until computed *)
+  hash_cache : int option Atomic.t;  (** [None] until computed *)
   mem_cache : (Tuple.t, unit) Hashtbl.t option Atomic.t;
   tree_probes : int Atomic.t;  (** probes answered before [mem_cache] exists *)
-  col_cache : (int * index) list Atomic.t;  (** per-column value indexes *)
+  index : index option Atomic.t;  (** [None] until built: cold *)
   text : text option Atomic.t;  (** [None] until rendered: cold *)
 }
 
-(* Every constructor goes through [make_text]: derived relations start
-   with fresh (empty) caches, and only [add]/[remove] pass on a text. *)
-let make_text text sorts tuples =
-  {
-    sorts;
-    tuples;
-    hash_cache = Atomic.make (-1);
-    mem_cache = Atomic.make None;
-    tree_probes = Atomic.make 0;
-    col_cache = Atomic.make [];
-    text = Atomic.make text;
-  }
+(* Every constructor goes through [make_with]: derived relations start
+   cold, and only the writes ([carry]) pass caches on. *)
+let make_with index text sorts tuples =
+  { sorts; tuples; hash_cache = Atomic.make None; mem_cache = Atomic.make None;
+    tree_probes = Atomic.make 0; index = Atomic.make index; text = Atomic.make text }
 
-let make sorts tuples = make_text None sorts tuples
+let make sorts tuples = make_with None None sorts tuples
 
 let empty sorts = make sorts Tuple_set.empty
 
@@ -97,109 +95,129 @@ let chunk_of tu chunks =
   | Some (s, _) -> s
   | None -> fst (Tuple_map.min_binding chunks)
 
-(* A write that changes nothing returns [r] itself, caches included:
-   [Set.add]/[Set.remove] return their argument physically then. A
-   write that changes [r] keeps its text with [tu]'s chunk stale. *)
-let rebuild (r : t) tu tuples =
+(* [tu] filed under (or taken out of) its value in every indexed
+   column; idempotent, so a write need not know whether [tu] was
+   there. *)
+let index_write present (idx : index) tu =
+  let file set =
+    let set = Option.value ~default:Tuple_set.empty set in
+    let set = if present then Tuple_set.add tu set else Tuple_set.remove tu set in
+    if Tuple_set.is_empty set then None else Some set
+  in
+  List.iteri (fun c v -> if c > 0 then idx.(c - 1) <- Value_map.update v file idx.(c - 1)) tu
+
+(* [r] rewritten to [tuples]: [r]'s minus [del], then plus [ins]. A
+   write that changes nothing returns [r] itself, caches included (the
+   set operations return their argument physically then); otherwise
+   the index is updated at, and the text made stale around, each
+   written tuple. *)
+let carry (r : t) tuples ~del ~ins =
   if tuples == r.tuples then r
   else
-    let text =
-      match Atomic.get r.text with
-      | None -> None
-      | Some tx ->
-        Some { tx with chunks = Tuple_map.add (chunk_of tu tx.chunks) None tx.chunks }
+    let index =
+      Option.map
+        (fun idx ->
+          let idx = Array.copy idx in
+          Tuple_set.iter (index_write false idx) del;
+          Tuple_set.iter (index_write true idx) ins;
+          idx)
+        (Atomic.get r.index)
+    and text =
+      Option.map
+        (fun tx ->
+          let stale tu chunks = Tuple_map.add (chunk_of tu chunks) None chunks in
+          { tx with chunks = Tuple_set.fold stale ins (Tuple_set.fold stale del tx.chunks) })
+        (Atomic.get r.text)
     in
-    make_text text r.sorts tuples
+    make_with index text r.sorts tuples
 
 let add tu (r : t) =
   check_tuple r tu;
-  rebuild r tu (Tuple_set.add tu r.tuples)
+  carry r (Tuple_set.add tu r.tuples) ~del:Tuple_set.empty ~ins:(Tuple_set.singleton tu)
 
 let remove tu (r : t) =
   check_tuple r tu;
-  rebuild r tu (Tuple_set.remove tu r.tuples)
+  carry r (Tuple_set.remove tu r.tuples) ~del:(Tuple_set.singleton tu) ~ins:Tuple_set.empty
+
+let patch ~ins ~del (r : t) =
+  carry r
+    (Tuple_set.union (Tuple_set.diff r.tuples del.tuples) ins.tuples)
+    ~del:del.tuples ~ins:ins.tuples
 
 let cardinal (r : t) = Tuple_set.cardinal r.tuples
 let is_empty (r : t) = Tuple_set.is_empty r.tuples
 
-(* Below this cardinality a balanced-tree lookup beats building a hash
-   table, so [warm] builds none. *)
-let mem_index_threshold = 8
-
 (* A relation answers its first [mem_tree_probes] membership probes from
-   the balanced tree, in O(log n) each. Only a relation probed more
-   often pays the O(n) build of its membership table, after which every
-   probe is O(1): a commit probing a fresh state a few times (a delta
-   rule, a monitor) builds none, an antijoin sweeping a relation builds
-   one. *)
+   the tree, in O(log n) each. A relation probed more often builds a
+   hash table once and probes it in O(1): a delta rule probing a fresh
+   state a few times builds none, an antijoin sweep builds one. *)
 let mem_tree_probes = 16
 
-(* Index-build tallies: how often the lazy caches are actually
-   materialized (a concurrent duplicate build counts twice — it did
-   the work twice). *)
+(* Index-build tallies: how often the lazy caches are built from
+   scratch (a concurrent duplicate build counts twice — it did the work
+   twice). *)
 let c_mem_index_builds = Metrics.counter "relation.mem_index_builds"
 let c_col_index_builds = Metrics.counter "relation.col_index_builds"
 let c_text_chunks_rendered = Metrics.counter "relation.text_chunks_rendered"
 let c_text_chunks_reused = Metrics.counter "relation.text_chunks_reused"
 
-(* Build (or fetch) the membership table. Publication is a one-shot
-   CAS: the first builder wins and every racing peer drops its build
-   and adopts the published table, so concurrent domains end up probing
-   the {e same} table — sharing cache lines instead of each carrying a
-   private duplicate. *)
-let mem_table (r : t) =
-  match Atomic.get r.mem_cache with
-  | Some tbl -> tbl
+(* Fetch a lazy cache, building it on a miss. The first build published
+   wins, and a racing peer adopts it, so domains probe one shared
+   copy. *)
+let cached cell build =
+  match Atomic.get cell with
+  | Some c -> c
   | None ->
-    Metrics.incr c_mem_index_builds;
-    let tbl = Hashtbl.create (2 * Tuple_set.cardinal r.tuples) in
-    Tuple_set.iter (fun t -> Hashtbl.replace tbl t ()) r.tuples;
-    if Atomic.compare_and_set r.mem_cache None (Some tbl) then tbl
-    else begin
-      match Atomic.get r.mem_cache with Some t -> t | None -> tbl
-    end
+    let c = build () in
+    ignore (Atomic.compare_and_set cell None (Some c) : bool);
+    Option.value ~default:c (Atomic.get cell)
 
 let mem tu (r : t) =
   match Atomic.get r.mem_cache with
   | Some tbl -> Hashtbl.mem tbl tu
+  | None when Atomic.fetch_and_add r.tree_probes 1 < mem_tree_probes ->
+    Tuple_set.mem tu r.tuples
   | None ->
-    if Atomic.fetch_and_add r.tree_probes 1 < mem_tree_probes then
-      Tuple_set.mem tu r.tuples
-    else Hashtbl.mem (mem_table r) tu
-
-(** The value -> tuples index for column [col], built on first use and
-    cached. The index is immutable once published. *)
-let index_on (col : int) (r : t) : index =
-  if col < 0 || col >= arity r then
-    invalid_arg (Fmt.str "Relation.index_on: column %d of arity %d" col (arity r));
-  match List.assoc_opt col (Atomic.get r.col_cache) with
-  | Some idx -> idx
-  | None ->
-    Metrics.incr c_col_index_builds;
-    let idx : index = Hashtbl.create (max 16 (2 * Tuple_set.cardinal r.tuples)) in
-    Tuple_set.iter
-      (fun tu ->
-        let key = List.nth tu col in
-        Hashtbl.replace idx key
-          (tu :: Option.value ~default:[] (Hashtbl.find_opt idx key)))
-      r.tuples;
-    (* One-shot publication: if a peer published this column first, its
-       index wins and we adopt it — all domains probe one shared
-       index. *)
-    let rec publish () =
-      let cur = Atomic.get r.col_cache in
-      match List.assoc_opt col cur with
-      | Some published -> published
-      | None ->
-        if Atomic.compare_and_set r.col_cache cur ((col, idx) :: cur) then idx
-        else publish ()
+    let table () =
+      Metrics.incr c_mem_index_builds;
+      let tbl = Hashtbl.create (2 * Tuple_set.cardinal r.tuples) in
+      Tuple_set.iter (fun t -> Hashtbl.replace tbl t ()) r.tuples;
+      tbl
     in
-    publish ()
+    Hashtbl.mem (cached r.mem_cache table) tu
 
-(** All tuples whose column [col] holds [value], via the cached
-    index. *)
-let find_by ~(col : int) (value : Value.t) (r : t) : Tuple.t list =
-  Option.value ~default:[] (Hashtbl.find_opt (index_on col r) value)
+(* The column indexes, all columns built in one pass. *)
+let index (r : t) : index =
+  cached r.index (fun () ->
+      Metrics.incr c_col_index_builds;
+      let idx = Array.make (max 0 (arity r - 1)) Value_map.empty in
+      Tuple_set.iter (index_write true idx) r.tuples;
+      idx)
+
+(* The tuples whose first column holds [v]: a range of the tuple set,
+   cut out by two splits. [[v]] sorts below every longer tuple that
+   starts with [v], and is itself a member only at arity 1. *)
+let range0 v tuples =
+  let _, here, above = Tuple_set.split [ v ] tuples in
+  let range =
+    match Tuple_set.find_first_opt (fun tu -> Value.compare (List.hd tu) v > 0) above with
+    | Some hi ->
+      let below, _, _ = Tuple_set.split hi above in
+      below
+    | None -> above
+  in
+  if here then Tuple_set.add [ v ] range else range
+
+(** The tuples whose column [col] holds [value], as a relation sharing
+    their set with the index. *)
+let find_by ~(col : int) (value : Value.t) (r : t) : t =
+  if col < 0 || col >= arity r then
+    invalid_arg (Fmt.str "Relation.find_by: column %d of arity %d" col (arity r));
+  make r.sorts
+    (if col = 0 then range0 value r.tuples
+     else
+       Option.value ~default:Tuple_set.empty
+         (Value_map.find_opt value (index r).(col - 1)))
 
 let singleton sorts tu =
   let r = make sorts (Tuple_set.singleton tu) in
@@ -226,22 +244,9 @@ let for_all f (r : t) = Tuple_set.for_all f r.tuples
 (** A canonical hash of the extension (sorts contribute arity only),
     computed once per relation value. Consistent with {!equal}. *)
 let hash (r : t) =
-  let h = Atomic.get r.hash_cache in
-  if h >= 0 then h
-  else begin
-    let h =
-      Tuple_set.fold
-        (fun tu acc -> (acc * 33) + Tuple.hash tu)
-        r.tuples
-        ((arity r * 7) + 3)
-      land max_int
-    in
-    (* The hash is deterministic, so a lost race publishes the same
-       value; the CAS just keeps publication one-shot like the other
-       caches. *)
-    ignore (Atomic.compare_and_set r.hash_cache (-1) h : bool);
-    h
-  end
+  cached r.hash_cache (fun () ->
+      Tuple_set.fold (fun tu acc -> (acc * 33) + Tuple.hash tu) r.tuples ((arity r * 7) + 3)
+      land max_int)
 
 (* A chunk holds about [chunk_size] tuples: a re-rendered chunk of more
    than twice that is cut into pieces of [chunk_size]. *)
@@ -343,67 +348,62 @@ let render_text ~(render : Buffer.t -> Tuple.t -> unit) (buf : Buffer.t) (r : t)
          (if Tuple_map.is_empty !fresh then None else Some { render; chunks = !fresh })
         : bool)
 
-(** Publish this relation's lazy caches eagerly: the extension hash and
-    (above the indexing threshold) the membership table. Called once on
-    a shared read-only snapshot {e before} handing it to parallel
-    readers, so worker domains probe published indexes instead of
-    racing to build duplicates. *)
-let warm (r : t) =
-  ignore (hash r : int);
-  if Tuple_set.cardinal r.tuples >= mem_index_threshold then
-    ignore (mem_table r : (Tuple.t, unit) Hashtbl.t)
-
 let equal (a : t) (b : t) =
   a == b
-  || (let ha = Atomic.get a.hash_cache and hb = Atomic.get b.hash_cache in
-      (* cached hashes, when both present, give a cheap negative *)
-      (ha < 0 || hb < 0 || ha = hb)
+  || ((* cached hashes, when both present, give a cheap negative *)
+      (match (Atomic.get a.hash_cache, Atomic.get b.hash_cache) with
+       | Some ha, Some hb -> ha = hb
+       | _ -> true)
       && List.equal Sort.equal a.sorts b.sorts
       && Tuple_set.equal a.tuples b.tuples)
 
+(* Each first-column value of the binary relation [b] to its
+   second-column values, gathered once in O(|b|). *)
+let successors (b : t) =
+  let succ = Hashtbl.create 16 in
+  iter (function [ y; z ] -> Hashtbl.add succ y z | _ -> assert false) b;
+  succ
+
+(* [{(x, z) | (x, y) ∈ tuples, z ∈ succ y}], one hash lookup per tuple. *)
+let compose_succ succ tuples =
+  Tuple_set.fold
+    (fun tu out ->
+      match tu with
+      | [ x; y ] -> List.fold_left (fun out z -> Tuple_set.add [ x; z ] out) out (Hashtbl.find_all succ y)
+      | _ -> assert false)
+    tuples Tuple_set.empty
+
 (** Composition of binary relations sharing their middle sort:
     [compose a b = {(x, z) | (x, y) ∈ a, (y, z) ∈ b}], evaluated
-    through [b]'s first-column index — O(|a| + |b| + |output| log
-    |output|) rather than the pairwise O(|a|·|b|) scan. *)
+    through a hash table of [b]'s successors — O(|a| + |b| + |output|
+    log |output|) rather than the pairwise O(|a|·|b|) scan. *)
 let compose (a : t) (b : t) : t =
   match (a.sorts, b.sorts) with
   | [ sa; mid_a ], [ mid_b; sb ] when Sort.equal mid_a mid_b ->
-    let out = ref Tuple_set.empty in
-    Tuple_set.iter
-      (fun tu ->
-        match tu with
-        | [ x; y ] ->
-          List.iter
-            (fun tu' ->
-              match tu' with
-              | [ _; z ] -> out := Tuple_set.add [ x; z ] !out
-              | _ -> assert false)
-            (find_by ~col:0 y b)
-        | _ -> assert false)
-      a.tuples;
-    make [ sa; sb ] !out
+    make [ sa; sb ] (compose_succ (successors b) a.tuples)
   | _ ->
     invalid_arg
       "Relation.compose: expects binary relations sharing their middle sort"
 
 (** Transitive closure of a homogeneous binary relation, by semi-naive
     iteration: each round composes only the {e frontier} (pairs new in
-    the previous round) with [r], so total work is proportional to the
-    derivations actually produced instead of re-composing the whole
-    accumulated closure every round. *)
+    the previous round) with [r], through one successor table, so total
+    work is proportional to the derivations actually produced instead
+    of re-composing the whole accumulated closure every round. *)
 let transitive_closure (r : t) : t =
   (match r.sorts with
    | [ s1; s2 ] when Sort.equal s1 s2 -> ()
    | _ ->
      invalid_arg
        "Relation.transitive_closure: expects a homogeneous binary relation");
+  let succ = successors r in
   let rec go acc frontier =
-    if is_empty frontier then acc
+    if Tuple_set.is_empty frontier then acc
     else
-      let next = diff (compose frontier r) acc in
-      go (union acc next) next
+      let next = Tuple_set.diff (compose_succ succ frontier) acc in
+      go (Tuple_set.union acc next) next
   in
-  go r r
+  make r.sorts (go r.tuples r.tuples)
 
 (** Values appearing in each column, keyed by the column's sort: the
     relation's contribution to the active domain. Each column is

@@ -4,10 +4,12 @@
 
     The representation is abstract: a canonical sorted tuple set
     carrying lazily built, atomically published caches — a whole-
-    extension hash, an O(1)-amortized membership table, per-column
-    value indexes that make {!compose} linear in its inputs, and the
-    chunked rendered text of {!render_text}, which {!add} and
-    {!remove} pass on to the next version. All operations are defined
+    extension hash, a membership table, per-column value indexes
+    (column 0 needs none: the set is ordered by it), and the chunked
+    rendered text of {!render_text}. {!add}, {!remove} and {!patch}
+    carry the indexes and the text to the next version in
+    O(|writes| log n), so a lookup after a small write into an indexed
+    version costs O(log n), never a rebuild. All operations are defined
     by the tuple set alone; it is safe to share relation values across
     {!Fdbs_kernel.Pool} worker domains. *)
 
@@ -46,15 +48,25 @@ val add : Tuple.t -> t -> t
 
 val remove : Tuple.t -> t -> t
 
-(** O(log n) for a relation's first few probes, then O(1) from a
-    lazily built hash table: only a relation probed often enough to
-    repay the O(n) build gets one. *)
+(** [patch ~ins ~del r] is [union (diff r del) ins], with [r]'s column
+    indexes and text carried over: O(|ins| + |del|) set and index
+    updates of O(log n) each, instead of a cold value. Returns [r]
+    itself when both are empty. *)
+val patch : ins:t -> del:t -> t -> t
+
+(** O(log n) for a relation value's first 16 probes, then O(1) from a
+    lazily built hash table: only a value probed often enough to repay
+    the O(n) build gets one. The table is not carried to the next
+    version. *)
 val mem : Tuple.t -> t -> bool
 
-(** All tuples whose column [col] holds [value], via a cached
-    per-column index. Raises [Invalid_argument] if [col] is out of
-    range. *)
-val find_by : col:int -> Value.t -> t -> Tuple.t list
+(** The tuples whose column [col] holds [value], as a relation. Column
+    0 is a range of the ordered set, cut out in O(log n); another
+    column is one lookup in its index, O(log n) once the relation's
+    indexes exist. They are built in one O(n log n) pass on the first
+    such lookup into a version no write carried them to. Raises
+    [Invalid_argument] if [col] is out of range. *)
+val find_by : col:int -> Value.t -> t -> t
 
 (** Raises [Invalid_argument] on arity mismatch. *)
 val singleton : Sort.t list -> Tuple.t -> t
@@ -83,8 +95,8 @@ val hash : t -> int
 
 (** [render_text ~render buf r] appends [r]'s tuples in order, each
     written by [render], separated by [", "]. The text is cached on [r]
-    in chunks of about 64 tuples, and {!add} and {!remove} pass the
-    cache on with only the touched chunk stale, so rendering a version
+    in chunks of about 64 tuples, and {!add}, {!remove} and {!patch}
+    pass it on with only the touched chunks stale, so rendering a version
     one write away from a rendered one re-renders one chunk and copies
     the rest: O(|writes| + |r| / 64) rendering work instead of O(|r|).
     The cache is reused only for the physically same [render]; bulk
@@ -92,20 +104,15 @@ val hash : t -> int
     once: a chunk map is published whole, as the other caches are. *)
 val render_text : render:(Buffer.t -> Tuple.t -> unit) -> Buffer.t -> t -> unit
 
-(** Publish the lazy caches eagerly (extension hash, membership table
-    when the relation is large enough to index). Call on a shared
-    read-only snapshot before a parallel sweep so worker domains probe
-    one published index instead of racing to build duplicates; cache
-    publication is one-shot (first builder wins, peers adopt). *)
-val warm : t -> unit
-
 (** [compose a b = {(x, z) | (x, y) ∈ a, (y, z) ∈ b}] for binary
-    relations sharing their middle sort, evaluated through [b]'s
-    first-column index. Raises [Invalid_argument] otherwise. *)
+    relations sharing their middle sort, evaluated through a hash table
+    of [b]'s successors built once per call. Raises [Invalid_argument]
+    otherwise. *)
 val compose : t -> t -> t
 
-(** Transitive closure of a homogeneous binary relation by iterated
-    indexed composition. Raises [Invalid_argument] otherwise. *)
+(** Transitive closure of a homogeneous binary relation by semi-naive
+    composition through one successor table. Raises
+    [Invalid_argument] otherwise. *)
 val transitive_closure : t -> t
 
 (** Values appearing in each column, keyed by the column's sort: the

@@ -166,6 +166,8 @@ let run ?budget (txn : t) (calls : Journal.call list) (db : Db.t) :
           match txn.on_commit with
           | None -> Ok publishes
           | Some hook ->
+            (* a hook diffing the two states gets [delta] back *)
+            Delta.remember ~before:snapshot ~after:final delta;
             span "txn.monitor" (fun () ->
                 match hook ~before:snapshot ~after:final with
                 | Ok publish -> Ok (publishes @ [ publish ])

@@ -130,21 +130,40 @@ let plans =
         ( Rel "EDGE",
           Project ([ 1 ], Rel "EDGE"),
           [ Acol 0 ] );
+      (* the monitors' shapes: an antijoin keyed by a column and a
+         constant, a closed (nullary) projection of an antijoin, and a
+         key constraint's self-join *)
+      Antijoin
+        ( Rel "TAKES",
+          Product (Rel "OFFERED", Rel "OFFERED"),
+          [ Acol 1; Aterm (Fdbs_logic.Term.Lit (v "cs101")) ] );
+      Project ([], Antijoin (Rel "TAKES", Rel "OFFERED", [ Acol 1 ]));
+      Join ([ Rel "TAKES"; Rel "TAKES" ], [ Eq (Acol 0, Acol 2); Neq (Acol 1, Acol 3) ]);
     ]
 
+(* One step, then the step back: the second advance starts from the
+   outputs the first one patched, whose column indexes it carried. *)
 let prop_advance_agrees =
   QCheck.Test.make
     ~name:"delta advance agrees with fresh evaluation (all operators)"
     ~count:300 arbitrary_db_pair (fun (before, after) ->
-      let delta = Delta.of_dbs ~before ~after in
+      let step (n0 : Delta.node) plan ~before ~after =
+        let delta = Delta.of_dbs ~before ~after in
+        let n1, ins, del = Delta.advance ~domain ~after delta plan n0 in
+        let fresh = Relalg.eval ~domain after plan in
+        if
+          Relation.equal n1.Delta.out fresh
+          && Relation.equal ins (Relation.diff fresh n0.Delta.out)
+          && Relation.equal del (Relation.diff n0.Delta.out fresh)
+        then Some n1
+        else None
+      in
       List.for_all
         (fun plan ->
           let n0 = Delta.materialize ~domain before plan in
-          let n1, ins, del = Delta.advance ~domain ~after delta plan n0 in
-          let fresh = Relalg.eval ~domain after plan in
-          Relation.equal n1.Delta.out fresh
-          && Relation.equal ins (Relation.diff fresh n0.Delta.out)
-          && Relation.equal del (Relation.diff n0.Delta.out fresh))
+          match step n0 plan ~before ~after with
+          | Some n1 -> step n1 plan ~before:after ~after:before <> None
+          | None -> false)
         plans)
 
 let prop_of_dbs_apply_roundtrip =
@@ -444,6 +463,30 @@ let prop_closure_semi_naive =
       let r = Relation.of_list [ "node"; "node" ] edges in
       Relation.equal (Relation.transitive_closure r) (naive_closure r))
 
+(* A commit hands its write-set delta to its hook: the hook's [of_dbs]
+   on the commit's two states answers that one delta value, not a
+   fresh diff each call, and it equals the diff. *)
+let test_hook_gets_commit_delta () =
+  with_clean_caches (fun () ->
+      let seen = ref None in
+      let on_commit ~before ~after =
+        let d = Delta.of_dbs ~before ~after in
+        seen := Some (before, after, d, d == Delta.of_dbs ~before ~after);
+        Ok ignore
+      in
+      let txn = Txn.make ~on_commit env in
+      let st = commit_exn txn [ ("offer", [ v "cs101" ]); ("offer", [ v "cs102" ]) ] db0 in
+      let st = commit_exn txn [ ("retract", [ v "cs101" ]); ("offer", [ v "cs103" ]) ] st in
+      match !seen with
+      | None -> Alcotest.fail "the hook did not run"
+      | Some (before, after, d, remembered) ->
+        Alcotest.(check bool) "the commit's after state" true (after == st);
+        Alcotest.(check bool) "the commit's delta, not a diff" true remembered;
+        (* a record for another pair makes [of_dbs] diff this one *)
+        Delta.remember ~before:db0 ~after:db0 Delta.empty;
+        Alcotest.(check bool) "equals the diff" true
+          (delta_equal d (Delta.of_dbs ~before ~after)))
+
 let suite =
   [
     Alcotest.test_case "delta hits across warm commits" `Quick test_delta_hits;
@@ -455,6 +498,8 @@ let suite =
       test_extra_constraints_bypass_shared_cache;
     Alcotest.test_case "stale materializations fall back correctly" `Quick
       test_stale_state_falls_back_correctly;
+    Alcotest.test_case "a commit hook's of_dbs answers the commit delta" `Quick
+      test_hook_gets_commit_delta;
     QCheck_alcotest.to_alcotest prop_advance_agrees;
     QCheck_alcotest.to_alcotest prop_of_dbs_apply_roundtrip;
     QCheck_alcotest.to_alcotest prop_txn_incremental_agrees;

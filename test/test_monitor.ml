@@ -239,6 +239,98 @@ let test_static_projections_report_skips () =
   Alcotest.(check (list string)) "skipped" [ "keep"; "keep2" ] skipped
 
 (* ------------------------------------------------------------------ *)
+(* Carried column indexes: warm monitored commits build none           *)
+(* ------------------------------------------------------------------ *)
+
+(* The guarded schema: a retract guarded by a read of TAKES by course,
+   under a constraint that, like both axioms below, is an antijoin
+   against OFFERED. *)
+let guarded_src =
+  {|
+schema guarded
+relation OFFERED(course)
+relation TAKES(student, course)
+constraint takes_offered: forall s:student. forall c:course. (TAKES(s, c) -> OFFERED(c))
+proc offer(c: course) = insert OFFERED(c)
+proc retract(c: course) =
+  if (~(exists s:student. TAKES(s, c))) then delete OFFERED(c)
+end-schema
+|}
+
+let guarded_theory_src =
+  {|
+theory guarded
+sort course
+sort student
+pred offered : course
+pred takes : student, course
+axiom takes_offered: forall s:student, c:course. (takes(s, c) -> offered(c))
+axiom no_retract: forall c:course. (offered(c) -> box offered(c))
+|}
+
+let col_index_builds = Metrics.counter "relation.col_index_builds"
+
+(* Offering and retracting a course nobody takes changes OFFERED under
+   every antijoin, whose delta rules then look TAKES up by course. The
+   materializations patch their outputs, which carries the column
+   indexes the warm-up built, so neither the commits nor the reads
+   between them build another. *)
+let test_warm_commits_build_no_index () =
+  Planner.clear ();
+  let schema = Rparser.schema_exn guarded_src in
+  let cs = List.init 8 (fun i -> v (Fmt.str "c%d" i)) and spare = v "spare" in
+  let students = List.init 2000 (fun i -> v (Fmt.str "s%d" i)) in
+  let domain =
+    Domain.of_list [ ("course", spare :: cs); ("student", students) ]
+  in
+  let db =
+    Schema.empty_db schema
+    |> Db.with_relation "OFFERED"
+         (Relation.of_list [ "course" ] (List.map (fun c -> [ c ]) cs))
+    |> Db.with_relation "TAKES"
+         (Relation.of_list [ "student"; "course" ]
+            (List.mapi (fun i s -> [ s; List.nth cs (i mod 8) ]) students))
+  in
+  let m =
+    match Monitor.compile ~schema (Tparser.theory_exn guarded_theory_src) with
+    | Ok m -> m
+    | Error e -> Alcotest.failf "monitor compile failed: %a" Error.pp e
+  in
+  Monitor.attach m db;
+  let on_commit ~before ~after =
+    Ok (snd (Monitor.check m ~domain ~before ~after))
+  in
+  let txn = Txn.make ~on_commit (Semantics.env ~domain schema) in
+  let taken =
+    Rparser.wff_exn ~params:[ ("c", "course") ] schema
+      "exists s:student. TAKES(s, c)"
+  in
+  let state = ref db in
+  let round i =
+    let call = ((if i mod 2 = 0 then "offer" else "retract"), [ spare ]) in
+    (match Txn.run txn [ call ] !state with
+    | Ok db' -> state := db'
+    | Error rb -> Alcotest.failf "commit rolled back: %a" Txn.pp_rollback rb);
+    List.iter
+      (fun c ->
+        ignore
+          (Planner.holds ~schema ~domain ~consts:[ ("c", c) ] !state taken
+            : bool))
+      [ spare; List.nth cs (i mod 8) ]
+  in
+  for i = 0 to 3 do
+    round i
+  done;
+  let before = Metrics.value col_index_builds in
+  for i = 4 to 23 do
+    round i
+  done;
+  Alcotest.(check int)
+    "column indexes built by 20 warm commits and their reads" 0
+    (Metrics.value col_index_builds - before);
+  Alcotest.(check int) "one no_retract event per retract" 12 (Monitor.violations m)
+
+(* ------------------------------------------------------------------ *)
 (* QCheck: incremental verdicts = offline Check.check_axioms           *)
 (* ------------------------------------------------------------------ *)
 
@@ -371,5 +463,7 @@ let suite =
       test_missing_relation_is_an_error;
     Alcotest.test_case "static_projections report skipped modals" `Quick
       test_static_projections_report_skips;
+    Alcotest.test_case "warm monitored commits build no column index" `Quick
+      test_warm_commits_build_no_index;
     QCheck_alcotest.to_alcotest prop_incremental_equals_offline;
   ]

@@ -495,6 +495,93 @@ let prop_render_text_parallel =
         (Pool.map ~jobs:2 (fun () -> text ~render:render_plain r) [ (); () ])
       && text ~render:render_plain r = want)
 
+(* ------------------------------------------------------------------ *)
+(* Column indexes carried across versions answer as a cold value does  *)
+(* ------------------------------------------------------------------ *)
+
+type index_op =
+  | Iadd of Value.t list
+  | Iremove of Value.t list
+  | Ipatch of Value.t list list * Value.t list list  (** inserts, deletes *)
+  | Iprobe of int * int  (** column, value *)
+
+let pp_index_op ppf =
+  let tu = Relation.Tuple.pp and tus = Fmt.(list ~sep:sp Relation.Tuple.pp) in
+  function
+  | Iadd t -> Fmt.pf ppf "add%a" tu t
+  | Iremove t -> Fmt.pf ppf "remove%a" tu t
+  | Ipatch (ins, del) -> Fmt.pf ppf "patch(+[%a] -[%a])" tus ins tus del
+  | Iprobe (col, x) -> Fmt.pf ppf "probe(#%d=%d)" col x
+
+(* Few values per column, so lookups hit and writes collide. *)
+let index_values = 5
+let index_sorts = [ "a"; "b"; "c" ]
+
+let index_tuple_gen =
+  QCheck.Gen.(
+    map3
+      (fun a b c -> [ Value.Int a; Value.Int b; Value.Int c ])
+      (int_bound index_values) (int_bound index_values) (int_bound index_values))
+
+let index_stream_gen =
+  let open QCheck.Gen in
+  let tuples = list_size (int_range 0 6) index_tuple_gen in
+  let op =
+    frequency
+      [
+        (4, map (fun t -> Iadd t) index_tuple_gen);
+        (3, map (fun t -> Iremove t) index_tuple_gen);
+        (2, map2 (fun ins del -> Ipatch (ins, del)) tuples tuples);
+        (3, map2 (fun col x -> Iprobe (col, x)) (int_bound 2) (int_bound index_values));
+      ]
+  in
+  pair (list_size (int_range 0 40) index_tuple_gen) (list_size (int_range 1 40) op)
+
+(* Every column lookup on [r] equals the filter of a cold value of the
+   same tuples. *)
+let probes_agree r =
+  let cold = Relation.of_list index_sorts (Relation.to_list r) in
+  List.for_all
+    (fun col ->
+      List.for_all
+        (fun x ->
+          let v = Value.Int x in
+          Relation.equal (Relation.find_by ~col v r)
+            (Relation.filter (fun tu -> Value.equal (List.nth tu col) v) cold))
+        (List.init (index_values + 1) Fun.id))
+    [ 0; 1; 2 ]
+
+let prop_carried_indexes =
+  QCheck.Test.make ~name:"carried column indexes answer as a cold value does" ~count:300
+    (QCheck.make
+       ~print:(fun (init, ops) ->
+         Fmt.str "%d initial tuples; %a" (List.length init)
+           Fmt.(list ~sep:sp pp_index_op)
+           ops)
+       index_stream_gen)
+    (fun (init, ops) ->
+      let rel tuples = Relation.of_list index_sorts tuples in
+      let step r = function
+        | Iadd t -> Relation.add t r
+        | Iremove t -> Relation.remove t r
+        | Ipatch (ins, del) ->
+          let r' = Relation.patch ~ins:(rel ins) ~del:(rel del) r in
+          let want = Relation.union (Relation.diff r (rel del)) (rel ins) in
+          if not (Relation.equal r' want) then
+            QCheck.Test.fail_reportf "patch gave %a, want %a" Relation.pp r' Relation.pp want;
+          r'
+        | Iprobe (col, x) ->
+          ignore (Relation.find_by ~col (Value.Int x) r : Relation.t);
+          r
+      in
+      let versions = List.fold_left (fun vs op -> step (List.hd vs) op :: vs) [ rel init ] ops in
+      (* every version, old and new, after all the writes *)
+      List.for_all probes_agree versions
+      &&
+      (* two domains race to build one cold value's indexes *)
+      let cold = rel (Relation.to_list (List.hd versions)) in
+      List.for_all Fun.id (Pool.map ~jobs:2 (fun () -> probes_agree cold) [ (); () ]))
+
 (* The indexed Denote.compose agrees with the retained naive oracle. *)
 let prop_denote_compose_equiv =
   QCheck.Test.make ~name:"Denote.compose agrees with compose_naive" ~count:300
@@ -587,6 +674,7 @@ let suite =
       prop_model_closure;
       prop_render_text_cold;
       prop_render_text_parallel;
+      prop_carried_indexes;
       prop_denote_compose_equiv;
       prop_desugar_preserves_semantics;
       prop_strategies_agree;
