@@ -43,6 +43,7 @@ let bounds =
     ("reply_alloc_ratio", Max, 1.5, "reply render words, 8k / 2k", false);
     ("selfjoin_alloc_ratio", Max, 1.5, "key-checked commit words, 8k / 2k", false);
     ("monitor_alloc_ratio", Max, 1.5, "monitored commit words, 8k / 2k", false);
+    ("read_alloc_ratio", Max, 1.5, "point + exists query words, 8k / 2k", false);
     ("check23_speedup_jobs4", Min, 1.5, "Check23 at 4 domains", true);
     ("check23_speedup_jobs2", Min, 1.0, "2 domains must not regress", true);
   ]

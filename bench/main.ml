@@ -539,30 +539,6 @@ let planner_db n =
           (List.init n (fun i ->
                [ v (Fmt.str "s%d" i); (if i mod 2 = 0 then v "cs101" else v "cs102") ])))
 
-let e19 () =
-  let point n =
-    let dom = domain_n_students n in
-    let db = planner_db n in
-    let eval strategy () =
-      Planner.eval_rterm ~strategy ~schema:planner_schema ~domain:dom db
-        planner_quantified_rterm
-    in
-    let check strategy () =
-      Planner.holds ~strategy ~schema:planner_schema ~domain:dom db
-        takes_offered_wff
-    in
-    [
-      (Fmt.str "quantified rterm naive    n=%4d" n, time (eval `Naive));
-      (Fmt.str "quantified rterm compiled n=%4d" n, time (eval `Compiled));
-      (Fmt.str "constraint check naive    n=%4d" n, time (check `Naive));
-      (Fmt.str "constraint check compiled n=%4d" n, time (check `Compiled));
-    ]
-  in
-  report ~id:"E19"
-    ~title:"cost-based planner: quantified bodies and constraint checks vs naive"
-    ~notes:"naive pays carrier-product enumeration with an inner quantifier sweep per tuple; the plan cache amortizes compilation so compiled scans the live relations"
-    (List.concat_map point [ 16; 64; 256 ])
-
 (* ------------------------------------------------------------------ *)
 (* E18: kernel microbenchmarks, machine-readable (--json)               *)
 (* ------------------------------------------------------------------ *)
@@ -971,6 +947,96 @@ let bench_active_domain_alloc ~n =
   let db, _ = burst_store ~n () in
   minor_words (fun () -> Db.active_domain db)
 
+(* A session over the burst store at [n] TAKES tuples, recovered from a
+   snapshot as a server recovers its store. *)
+let burst_session ~n =
+  let db, _ = burst_store ~n () in
+  let journal = Filename.temp_file "fdbs_bench_read" ".journal" in
+  let snap = Replication.snapshot_path journal in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ journal; snap ])
+    (fun () ->
+      let snapshot = { Replication.snap_epoch = 0; snap_offset = 0; snap_db = db } in
+      (match Replication.save_snapshot snap snapshot with
+      | Ok () -> ()
+      | Error _ -> invalid_arg "bench: read snapshot failed");
+      let s =
+        match Session.open_text (burst_schema_src ~key:false) with
+        | Ok s -> s
+        | Error _ -> invalid_arg "bench: read session open failed"
+      in
+      match Session.replay s journal with
+      | Ok _ -> s
+      | Error _ -> invalid_arg "bench: read session recovery failed")
+
+(* The two reads of the read_pipeline workload through [Session.query]
+   on [s] at [n] tuples, both true: the point query [TAKES(ps, pc)] of
+   a present tuple, and the existence query of a taker of [pc]. *)
+let read_queries s ~n =
+  let i = n / 2 in
+  let ps = v (Fmt.str "s%d" i) and pc = List.nth burst_courses (i mod 8) in
+  let ask params wff () =
+    match Session.query s ~params wff with
+    | Ok true -> ()
+    | Ok false | Error _ -> invalid_arg ("bench: read query failed: " ^ wff)
+  in
+  ( ask [ ("ps", "student", ps); ("pc", "course", pc) ] "TAKES(ps, pc)",
+    ask [ ("pc", "course", pc) ] "exists s:student. TAKES(s, pc)" )
+
+(* Words one warm point query plus one warm existence query allocate
+   (E27): a ground atom is one membership probe and a nullary
+   projection an emptiness test, so neither may grow with the store.
+   The median over 16 query pairs after 16 warm-up pairs. *)
+let bench_read_alloc ~n =
+  let point, exists = read_queries (burst_session ~n) ~n in
+  let pair () =
+    point ();
+    exists ()
+  in
+  median_of_16 ~warm:pair (fun () -> minor_words pair)
+
+(* E19, after the read helpers its read rows time *)
+let e19 () =
+  let point n =
+    let dom = domain_n_students n in
+    let db = planner_db n in
+    let eval strategy () =
+      Planner.eval_rterm ~strategy ~schema:planner_schema ~domain:dom db
+        planner_quantified_rterm
+    in
+    let check strategy () =
+      Planner.holds ~strategy ~schema:planner_schema ~domain:dom db
+        takes_offered_wff
+    in
+    [
+      (Fmt.str "quantified rterm naive    n=%4d" n, time (eval `Naive));
+      (Fmt.str "quantified rterm compiled n=%4d" n, time (eval `Compiled));
+      (Fmt.str "constraint check naive    n=%4d" n, time (check `Naive));
+      (Fmt.str "constraint check compiled n=%4d" n, time (check `Compiled));
+    ]
+  in
+  (* the read_pipeline workload's two reads, and a plan-cache hit on
+     the burst schema's 13 relations *)
+  let reads n =
+    let point, exists = read_queries (burst_session ~n) ~n in
+    [
+      (Fmt.str "point query (Session.query)  n=%4d" n, time point);
+      (Fmt.str "exists query (Session.query) n=%4d" n, time exists);
+    ]
+  in
+  let plan_hit =
+    let schema = Rparser.schema_exn (burst_schema_src ~key:false) in
+    let f =
+      Rparser.wff_exn ~params:[ ("pc", "course") ] schema "exists s:student. TAKES(s, pc)"
+    in
+    ("plan_wff cache hit, 13-relation schema", time (fun () -> Planner.plan_wff schema f))
+  in
+  report ~id:"E19"
+    ~title:"cost-based planner: quantified bodies and constraint checks vs naive"
+    ~notes:"naive pays carrier-product enumeration with an inner quantifier sweep per tuple; the plan cache amortizes compilation so compiled scans the live relations; a point query is one membership probe and an exists query an index lookup tested for emptiness, so neither grows with n"
+    (List.concat_map point [ 16; 64; 256 ] @ List.concat_map reads alloc_sizes @ [ plan_hit ])
+
 (* Gateway throughput (E25). Boot the real [Server.serve] on a Unix
    socket in a spawned domain and drive it with [gw_clients] pipelined
    connections, each keeping a window of [gw_window] frames in flight
@@ -1288,6 +1354,7 @@ let run_json () =
           (Fmt.str "reply_alloc_n%dk" (n / 1000), bench_reply_alloc ~n);
           (Fmt.str "selfjoin_alloc_n%dk" (n / 1000), bench_commit_alloc ~key:true ~n ());
           (Fmt.str "monitor_alloc_n%dk" (n / 1000), bench_monitor_alloc ~n);
+          (Fmt.str "read_alloc_n%dk" (n / 1000), bench_read_alloc ~n);
         ])
       alloc_sizes
   in
@@ -1313,6 +1380,9 @@ let run_json () =
            retract by key, must both cost O(|delta|) too *)
         ("selfjoin_alloc_ratio", alloc_ratio "selfjoin_alloc");
         ("monitor_alloc_ratio", alloc_ratio "monitor_alloc");
+        (* gated by gate.ml (<= 1.5): a warm point query and a warm
+           existence query must cost O(log n), not a scan *)
+        ("read_alloc_ratio", alloc_ratio "read_alloc");
       ]
   in
   let pp_fields ppf fields =
@@ -1477,9 +1547,10 @@ let e27 () =
     sweep "commit with a key constraint" (fun ~n -> bench_commit_alloc ~key:true ~n ())
   in
   let monitor = sweep "monitored offer/retract commit" bench_monitor_alloc in
+  let read = sweep "warm point + exists query" bench_read_alloc in
   report ~id:"E27" ~title:"allocation sweeps: minor-heap words at two store sizes"
-    ~notes:"the commit's delta comes from its write set, so a one-tuple commit allocates the same at both sizes (gate: <= 1.5x); the active domain sorts each column once, O(n log n) (gate: <= 6x); a commit reply re-renders only the text chunks the commit touched (gate: <= 1.5x); a key constraint's self-join and a monitor's antijoins look the written relation up through column indexes the commit carried forward (gates: <= 1.5x)"
-    (commit @ domain @ reply @ selfjoin @ monitor)
+    ~notes:"the commit's delta comes from its write set, so a one-tuple commit allocates the same at both sizes (gate: <= 1.5x); the active domain sorts each column once, O(n log n) (gate: <= 6x); a commit reply re-renders only the text chunks the commit touched (gate: <= 1.5x); a key constraint's self-join and a monitor's antijoins look the written relation up through column indexes the commit carried forward (gates: <= 1.5x); a point query is one membership probe and an existence query an index lookup tested for emptiness (gate: <= 1.5x)"
+    (commit @ domain @ reply @ selfjoin @ monitor @ read)
 
 (* --metrics-json: run a fixed deterministic workload (the small
    university verification, one domain) from zeroed instruments and

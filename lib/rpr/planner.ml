@@ -136,16 +136,21 @@ let plan_rterm (sc : Schema.t) (rt : Stmt.rterm) : Relalg.expr option =
     (fun plan -> Srterm (sc, rt, plan))
     (fun () -> Option.map (optimize sc) (Relalg.compile rt))
 
-(** The optimized 0-ary plan of a closed wff; [None] when open or
-    unsafe. *)
-let plan_wff (sc : Schema.t) (f : Formula.t) : Relalg.expr option =
-  with_cache (wff_key sc f)
+(* [plan_wff] under its [wff_key], for a caller that has the key
+   already and so need not hash the schema twice. *)
+let plan_wff_at key (sc : Schema.t) (f : Formula.t) : Relalg.expr option =
+  with_cache key
     (function
       | Swff (sc', f', plan)
         when Schema.plan_equal sc sc' && Formula.equal f f' -> Some plan
       | Srterm _ | Swff _ -> None)
     (fun plan -> Swff (sc, f, plan))
     (fun () -> Option.map (optimize sc) (Relalg.compile_wff f))
+
+(** The optimized 0-ary plan of a closed wff; [None] when open or
+    unsafe. *)
+let plan_wff (sc : Schema.t) (f : Formula.t) : Relalg.expr option =
+  plan_wff_at (wff_key sc f) sc f
 
 let not_compilable_error what offender =
   Error.raise_error Error.Exec
@@ -305,7 +310,7 @@ let holds_delta ?(strategy = `Auto) ~(schema : Schema.t) ~domain ?consts
     let publish node () =
       mat_publish key { m_schema = schema; m_wff = f; m_state = after; m_node = node }
     in
-    match plan_wff schema f with
+    match plan_wff_at key schema f with
     | None ->
       (* Outside the safe fragment: nothing to materialize. `Compiled
          keeps its structured error; `Auto re-evaluates naively every

@@ -122,10 +122,15 @@ let project_row (cols : int list) (row : Value.t list) : Value.t list =
   let arr = Array.of_list row in
   List.map (fun i -> arr.(i)) cols
 
-(** Project a relation onto [cols] (which may permute/duplicate). *)
+(** Project a relation onto [cols] (which may permute/duplicate). The
+    nullary projection is an emptiness test: [{()}] when [r] has a row,
+    [{}] otherwise, without visiting the rows. *)
 let project_rel (cols : int list) (r : Relation.t) : Relation.t =
-  let out_sorts = List.map (fun i -> List.nth (Relation.sorts r) i) cols in
-  Relation.of_list out_sorts (Relation.fold (fun row acc -> project_row cols row :: acc) r [])
+  match cols with
+  | [] -> if Relation.is_empty r then Relation.empty [] else Relation.singleton [] []
+  | _ ->
+    let out_sorts = List.map (fun i -> List.nth (Relation.sorts r) i) cols in
+    Relation.of_list out_sorts (Relation.fold (fun row acc -> project_row cols row :: acc) r [])
 
 (** Greedy index-aware n-ary join over already-evaluated inputs: seed
     with the smallest input, then repeatedly attach the smallest input
@@ -191,7 +196,9 @@ let join_rels ~domain ?consts db (rels : Relation.t list)
             | Eq _ | Neq _ -> None)
           !remaining
       in
-      let first = !width_placed = 0 in
+      (* the first input placed seeds the rows whatever its width: an
+         empty 0-ary input (an emptiness test) empties the join *)
+      let first = not (Array.exists Fun.id placed) in
       for i = 0 to widths.(k) - 1 do
         pos.(offsets.(k) + i) <- !width_placed + i
       done;
@@ -270,21 +277,37 @@ let eval ~domain ?consts (db : Db.t) (e : expr) : Relation.t =
   let term_value t = term_value ~domain ?consts db t in
   let arg_value row a = arg_value ~domain ?consts db row a in
   let matches ps row = row_matches ~domain ?consts db ps row in
-  (* A relation's rows restricted by a constant-column equality are the
-     relation's column lookup, with any other predicate filtered on
-     it, instead of a scan. *)
+  (* A relation's rows restricted by constant-column equalities, instead
+     of a scan: one membership probe of the tuple they spell when they
+     bind every column, otherwise the relation's lookup on the first
+     bound column. The other predicates filter the result. The probe
+     searches the tuple set rather than calling [Relation.mem], whose
+     hash table costs O(n) for each version probed more than 16
+     times, and a store written between reads makes many versions. *)
   let indexed_select ps (rel : Relation.t) : Relation.t =
     let ground = function
       | Eq (Acol i, Aterm t) | Eq (Aterm t, Acol i) -> Some (i, t)
       | Eq _ | Neq _ -> None
     in
-    match List.find_map ground ps with
-    | Some (col, t) -> (
-      let rows = Relation.find_by ~col (term_value t) rel in
+    match List.filter_map ground ps with
+    | [] -> Relation.filter (fun row -> matches ps row) rel
+    | (col, t) :: _ as keys -> (
+      let rec spelled i =
+        if i = Relation.arity rel then Some []
+        else
+          match List.assoc_opt i keys with
+          | None -> None
+          | Some t -> Option.map (fun tu -> term_value t :: tu) (spelled (i + 1))
+      in
+      let rows =
+        match spelled 0 with
+        | Some tu when Relation.Tuple_set.mem tu (Relation.tuple_set rel) -> Relation.singleton (Relation.sorts rel) tu
+        | Some _ -> Relation.empty (Relation.sorts rel)
+        | None -> Relation.find_by ~col (term_value t) rel
+      in
       match List.filter (fun p -> ground p <> Some (col, t)) ps with
       | [] -> rows
       | rest -> Relation.filter (fun row -> matches rest row) rows)
-    | None -> Relation.filter (fun row -> matches ps row) rel
   in
   let rec go : expr -> Relation.t = function
     | Rel r -> Db.relation_exn db r
@@ -720,26 +743,31 @@ let optimize ~(rel_arity : string -> int) (e : expr) : expr =
       let leaves, preds = flatten 0 e ([], []) in
       let leaves = List.rev leaves in
       (* attach each predicate to the single leaf covering all its
-         columns, if any; constant predicates stay global *)
+         columns, if any, by the leaf's position: a 0-ary leaf shares
+         its offset with the leaf after it. Constant predicates stay
+         global. *)
       let local_of p =
         match acols p with
         | [] -> None
         | cs ->
-          List.find_opt (fun (off, w, _) -> List.for_all (fun c -> c >= off && c < off + w) cs) leaves
-          |> Option.map (fun (off, _, _) -> off)
+          List.find_mapi
+            (fun k (off, w, _) ->
+              if List.for_all (fun c -> c >= off && c < off + w) cs then Some (k, off)
+              else None)
+            leaves
       in
       let local, global =
         List.partition_map
           (fun p ->
             match local_of p with
-            | Some off -> Left (off, shift (-off) p)
+            | Some (k, off) -> Left (k, shift (-off) p)
             | None -> Right p)
           preds
       in
       let optimized_leaves =
-        List.map
-          (fun (off, _, leaf) ->
-            let ps = List.filter_map (fun (o, p) -> if o = off then Some p else None) local in
+        List.mapi
+          (fun k (_, _, leaf) ->
+            let ps = List.filter_map (fun (k', p) -> if k' = k then Some p else None) local in
             push ps leaf)
           leaves
       in

@@ -51,7 +51,12 @@ val pp_preds : col_pred list Fmt.t
 (** Column sorts of an expression, given the schema's relation sorts. *)
 val sorts_of : rel_sorts:(string -> Sort.t list) -> expr -> Sort.t list
 
-(** Evaluate an algebra expression against a database state. *)
+(** Evaluate an algebra expression against a database state. A
+    selection over a stored relation is answered from the relation
+    rather than by a scan: one membership probe when its ground
+    equalities bind every column, otherwise the lookup on the first
+    bound column (a range for column 0, the carried column index for
+    another). *)
 val eval :
   domain:Domain.t -> ?consts:(string * Value.t) list -> Db.t -> expr -> Relation.t
 
@@ -80,6 +85,8 @@ val arg_values :
 (** A row's values at [cols], in that order. *)
 val project_row : int list -> Value.t list -> Value.t list
 
+(** Project a relation onto columns (which may permute or duplicate).
+    [project_rel []] is an emptiness test: [{()}] or [{}]. *)
 val project_rel : int list -> Relation.t -> Relation.t
 
 val join_rels :

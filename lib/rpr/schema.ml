@@ -40,12 +40,12 @@ let sorts_of (sc : t) name =
 
 (** A structural fingerprint of the relation declarations — the part of
     the schema a compiled plan depends on. Used to key the plan cache
-    per schema, so two schemas sharing a formula never share a plan. *)
+    per schema, so two schemas sharing a formula never share a plan.
+    It keys in-memory tables only, so [Hashtbl.hash] may hash the
+    names. *)
 let fingerprint (sc : t) : int =
   let mix h x = (h * 16777619) lxor x in
-  let mix_string h s =
-    String.fold_left (fun h c -> mix h (Char.code c)) h s
-  in
+  let mix_string h s = mix h (Hashtbl.hash s) in
   List.fold_left
     (fun h r -> List.fold_left mix_string (mix_string (mix h 53) r.rname) r.rsorts)
     (mix_string 2166136261 sc.name)
@@ -54,14 +54,16 @@ let fingerprint (sc : t) : int =
 (** Structural equality of exactly the footprint {!fingerprint} hashes:
     the schema name and the relation declarations. The plan cache
     compares slots with this on every hit, so a fingerprint collision
-    between two different schemas can never smuggle a plan across. *)
+    between two different schemas can never smuggle a plan across. A
+    schema is plan-equal to itself at once. *)
 let plan_equal (a : t) (b : t) : bool =
-  String.equal a.name b.name
-  && List.equal
-       (fun r1 r2 ->
-         String.equal r1.rname r2.rname
-         && List.equal Sort.equal r1.rsorts r2.rsorts)
-       a.relations b.relations
+  a == b
+  || (String.equal a.name b.name
+     && List.equal
+          (fun r1 r2 ->
+            String.equal r1.rname r2.rname
+            && List.equal Sort.equal r1.rsorts r2.rsorts)
+          a.relations b.relations)
 
 (** All sorts mentioned by relations, constants and parameters. *)
 let sorts (sc : t) : Sort.t list =

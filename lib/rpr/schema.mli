@@ -44,7 +44,8 @@ val fingerprint : t -> int
 
 (** Structural equality of exactly the footprint {!fingerprint}
     hashes (schema name + relation declarations); the plan cache's
-    collision-proof slot comparison. *)
+    collision-proof slot comparison. [true] at once on physically
+    equal schemas. *)
 val plan_equal : t -> t -> bool
 
 (** All sorts mentioned by relations, constants and parameters. *)

@@ -87,6 +87,38 @@ let test_collision_distinguishes_schemas () =
       check Alcotest.int "no cross-schema hit" 0 hits;
       check Alcotest.int "planned once per schema" 2 misses)
 
+(* A copy made with [{ sc with relations = ... }] after the original
+   has been fingerprinted and planned — the monitor schema's
+   construction — gets its own fingerprint and is never served the
+   original's plan, even when every key collides. A structurally equal
+   copy of it still hits, since tenants with the same schema share
+   plans. *)
+let test_schema_copy_replans () =
+  let acc = Schema.rel_decl "ACC" [ "thing" ] in
+  let widen (sc : Schema.t) =
+    { sc with Schema.relations = sc.Schema.relations @ [ acc ] }
+  in
+  let fp = Schema.fingerprint in
+  let original = fp obs_schema in
+  let copy = widen obs_schema in
+  let twin = widen obs_schema in
+  checkb "the copy gets its own fingerprint" true (fp copy <> original);
+  checkb "an equal copy hashes alike" true (fp copy = fp twin);
+  checkb "the original keeps its fingerprint" true (fp obs_schema = original);
+  let stats = Alcotest.(pair int int) in
+  Planner.clear ();
+  Planner.set_key_mask (Some 0);
+  Fun.protect
+    ~finally:(fun () ->
+      Planner.set_key_mask None;
+      Planner.clear ())
+    (fun () ->
+      ignore (Planner.plan_wff obs_schema (exists_in "R"));
+      ignore (Planner.plan_wff copy (exists_in "R"));
+      check stats "the copy re-plans" (0, 2) (Planner.stats ());
+      ignore (Planner.plan_wff twin (exists_in "R"));
+      check stats "an equal copy hits" (1, 2) (Planner.stats ()))
+
 (* ------------------------------------------------------------------ *)
 (* Budget: the default clock is monotonic                              *)
 (* ------------------------------------------------------------------ *)
@@ -297,6 +329,8 @@ let suite =
       test_collision_does_not_cross_serve;
     Alcotest.test_case "colliding keys distinguish schemas" `Quick
       test_collision_distinguishes_schemas;
+    Alcotest.test_case "a schema copy never shares a plan" `Quick
+      test_schema_copy_replans;
     Alcotest.test_case "default budget clock is monotonic" `Quick
       test_default_clock_is_monotonic;
     Alcotest.test_case "injected clock drives deadlines" `Quick

@@ -721,11 +721,19 @@ let prop_equiv_reflexive_symmetric =
 (* The query planner: full safe-calculus compilation and the plan cache *)
 (* ------------------------------------------------------------------ *)
 
+(* The constants a ground argument may name, bound through [~consts]:
+   values of the carriers, which a random state may or may not hold. *)
+let prop_consts = [ ("ka", v "ana"); ("kb", v "bob"); ("kc", v "cs101"); ("kd", v "cs102") ]
+
 (* Random safe bodies over TAKES/OFFERED with head (s, c) — including
    quantifiers and negation. Safety comes from the positive TAKES(s, c)
    guard conjoined at the top, present in every DNF clause; every
    quantified subformula uses its bound variable, so nothing falls back
-   to the carrier. *)
+   to the carrier. Atoms also take ground arguments — [prop_consts]
+   names and literals, some outside every relation — on both columns
+   of TAKES, on column 0 only and on column 1 only, so a selection over
+   a stored relation is answered by a membership probe, a range and an
+   index lookup, and a quantified one by an emptiness test. *)
 let random_safe_rterm_gen =
   let open QCheck.Gen in
   let sv = { Term.vname = "s"; vsort = "student" } in
@@ -734,17 +742,41 @@ let random_safe_rterm_gen =
   let c2 = { Term.vname = "c2"; vsort = "course" } in
   let takes a b = Formula.Pred ("TAKES", [ Term.Var a; Term.Var b ]) in
   let offered a = Formula.Pred ("OFFERED", [ Term.Var a ]) in
-  let atom =
-    oneofl
+  let const k = Term.App (k, []) in
+  let student =
+    oneofl [ const "ka"; const "kb"; Term.Lit (v "ana"); Term.Lit (v "zed") ]
+  in
+  let course =
+    oneofl [ const "kc"; const "kd"; Term.Lit (v "cs102"); Term.Lit (v "cs999") ]
+  in
+  let ground_takes a b = Formula.Pred ("TAKES", [ a; b ]) in
+  let ground_atom =
+    oneof
       [
-        takes sv cv;
-        offered cv;
-        Formula.Eq (Term.Var cv, Term.Lit (v "cs101"));
-        Formula.Eq (Term.Var sv, Term.Lit (v "ana"));
-        Formula.Exists (s2, takes s2 cv);
-        Formula.Exists (c2, Formula.And (takes sv c2, offered c2));
-        Formula.Forall (s2, Formula.Imp (takes s2 cv, offered cv));
-        Formula.Forall (c2, Formula.Imp (takes sv c2, offered c2));
+        map2 ground_takes student course;
+        map (fun a -> ground_takes a (Term.Var cv)) student;
+        map (fun b -> ground_takes (Term.Var sv) b) course;
+        map (fun b -> Formula.Pred ("OFFERED", [ b ])) course;
+        map (fun b -> Formula.Exists (s2, ground_takes (Term.Var s2) b)) course;
+        map (fun a -> Formula.Exists (c2, ground_takes a (Term.Var c2))) student;
+      ]
+  in
+  let atom =
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              takes sv cv;
+              offered cv;
+              Formula.Eq (Term.Var cv, Term.Lit (v "cs101"));
+              Formula.Eq (Term.Var sv, Term.Lit (v "ana"));
+              Formula.Exists (s2, takes s2 cv);
+              Formula.Exists (c2, Formula.And (takes sv c2, offered c2));
+              Formula.Forall (s2, Formula.Imp (takes s2 cv, offered cv));
+              Formula.Forall (c2, Formula.Imp (takes sv c2, offered c2));
+            ] );
+        (2, ground_atom);
       ]
   in
   let rec gen n =
@@ -797,26 +829,32 @@ let rel_arity r = List.length (Schema.sorts_of schema r)
 let prop_safe_bodies_compile =
   QCheck.Test.make ~name:"safe bodies always compile; compiled = naive" ~count:300
     arbitrary_safe_rterm_and_db (fun (rt, db) ->
+      let consts = prop_consts in
       match Relalg.compile rt with
       | None -> false
       | Some e ->
-        let naive = Relcalc.eval_rterm_naive ~domain db rt in
-        Relation.equal (Relalg.eval ~domain db e) naive
-        && Relation.equal (Relalg.eval ~domain db (Relalg.optimize ~rel_arity e)) naive)
+        let naive = Relcalc.eval_rterm_naive ~domain ~consts db rt in
+        Relation.equal (Relalg.eval ~domain ~consts db e) naive
+        && Relation.equal
+             (Relalg.eval ~domain ~consts db (Relalg.optimize ~rel_arity e))
+             naive)
 
 (* Closed wffs (the constraint-checking shape) compile to 0-ary plans
    whose emptiness test agrees with naive recursive evaluation. *)
 let prop_wff_compiles =
   QCheck.Test.make ~name:"closed safe wffs compile; emptiness = holds" ~count:300
     arbitrary_safe_rterm_and_db (fun (rt, db) ->
+      let consts = prop_consts in
       let check wff =
         match Relalg.compile_wff wff with
         | None -> false
         | Some e ->
           let plan_truth =
-            not (Relation.is_empty (Relalg.eval ~domain db (Relalg.optimize ~rel_arity e)))
+            not
+              (Relation.is_empty
+                 (Relalg.eval ~domain ~consts db (Relalg.optimize ~rel_arity e)))
           in
-          plan_truth = Relcalc.holds ~domain db wff
+          plan_truth = Relcalc.holds ~domain ~consts db wff
       in
       check (Formula.exists rt.Stmt.rt_vars rt.Stmt.rt_body)
       && check (Formula.forall rt.Stmt.rt_vars (Formula.Not rt.Stmt.rt_body)))
@@ -825,13 +863,14 @@ let prop_wff_compiles =
 let prop_plan_cache_stable =
   QCheck.Test.make ~name:"plan cache returns identical relations on repeat" ~count:100
     arbitrary_safe_rterm_and_db (fun (rt, db) ->
-      let first = Planner.eval_rterm ~strategy:`Compiled ~schema ~domain db rt in
+      let consts = prop_consts in
+      let first = Planner.eval_rterm ~strategy:`Compiled ~schema ~domain ~consts db rt in
       let hits1, _ = Planner.stats () in
-      let second = Planner.eval_rterm ~strategy:`Compiled ~schema ~domain db rt in
+      let second = Planner.eval_rterm ~strategy:`Compiled ~schema ~domain ~consts db rt in
       let hits2, _ = Planner.stats () in
       Relation.equal first second
       && hits2 > hits1
-      && Planner.holds ~strategy:`Compiled ~schema ~domain db
+      && Planner.holds ~strategy:`Compiled ~schema ~domain ~consts db
            (Formula.exists rt.Stmt.rt_vars rt.Stmt.rt_body)
          = not (Relation.is_empty first))
 

@@ -217,6 +217,48 @@ let test_compile_quantified () =
   let r = Relalg.eval_rterm ~strategy:`Compiled ~domain sample_db rt in
   Alcotest.(check int) "two courses taken" 2 (Relation.cardinal r)
 
+(* Plans with a 0-ary input, the emptiness test of a quantified
+   subformula whose atom is ground but for the bound variable: an empty
+   0-ary input placed first must empty the join, and the optimizer must
+   file a predicate of the input after a 0-ary one under that input
+   alone, though the two share a column offset. *)
+let test_nullary_join_inputs () =
+  let sv = { Term.vname = "s"; vsort = "student" } in
+  let cv = { Term.vname = "c"; vsort = "course" } in
+  let takes a b = Formula.Pred ("TAKES", [ a; b ]) in
+  let lit x = Term.Lit (v x) in
+  let rel_arity r = List.length (Schema.sorts_of schema r) in
+  (* ana takes cs101, carl nothing: the conjunction is false *)
+  let wff =
+    Formula.And
+      ( Formula.Exists (sv, takes (Term.Var sv) (lit "cs101")),
+        Formula.Exists (cv, takes (lit "carl") (Term.Var cv)) )
+  in
+  (match Relalg.compile_wff wff with
+   | None -> Alcotest.fail "closed wff should be compilable"
+   | Some e ->
+     Alcotest.(check bool) "an empty 0-ary input empties the join" true
+       (Relation.is_empty (Relalg.eval ~domain sample_db (Relalg.optimize ~rel_arity e))));
+  let rt =
+    {
+      Stmt.rt_vars = [ sv; cv ];
+      rt_body =
+        Formula.conj
+          [
+            takes (Term.Var sv) (Term.Var cv);
+            Formula.Exists (sv, takes (Term.Var sv) (lit "cs102"));
+            takes (lit "ana") (lit "cs101");
+          ];
+    }
+  in
+  match Relalg.compile rt with
+  | None -> Alcotest.fail "body should be compilable"
+  | Some e ->
+    Alcotest.(check bool) "optimized = naive" true
+      (Relation.equal
+         (Relalg.eval ~domain sample_db (Relalg.optimize ~rel_arity e))
+         (Relcalc.eval_rterm_naive ~domain sample_db rt))
+
 let test_compile_fallback () =
   (* a head variable ranging only over the carrier (body True) is not
      range-restricted; Auto falls back to naive enumeration *)
@@ -368,6 +410,7 @@ let suite =
     Alcotest.test_case "calculus vs algebra" `Quick test_calc_vs_algebra;
     Alcotest.test_case "compile quantified" `Quick test_compile_quantified;
     Alcotest.test_case "compile fallback" `Quick test_compile_fallback;
+    Alcotest.test_case "nullary join inputs" `Quick test_nullary_join_inputs;
     Alcotest.test_case "singleton compile" `Quick test_singleton_compile;
     Alcotest.test_case "m(p;q) composition" `Quick test_denote_seq_is_composition;
     Alcotest.test_case "m(p u q) union" `Quick test_denote_union;
